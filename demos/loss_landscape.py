@@ -10,7 +10,7 @@ Run: python demos/loss_landscape.py
 
 import numpy as np
 
-from ttlr import TemperaturePair, binary_loss, curvature_report
+from ttlr import TemperaturePair, curvature_report, margin_losses
 
 PAIRS = [(1.0, 1.0), (0.6, 1.0), (1.3, 1.0), (0.6, 1.6), (1.3, 1.6), (0.7, 0.7)]
 GRID = np.array([-8.0, -4.0, -2.0, 0.0, 2.0, 4.0])
@@ -18,8 +18,7 @@ GRID = np.array([-8.0, -4.0, -2.0, 0.0, 2.0, 4.0])
 
 def profile(t1, t2):
     temps = TemperaturePair(t1, t2)
-    w = np.array([1.0])
-    vals = [binary_loss(np.array([a]), 1, w, temps) for a in GRID]
+    vals = margin_losses(GRID, temps)
     rep = curvature_report(temps, lo=-15.0, hi=8.0)
     return vals, rep
 

@@ -18,22 +18,11 @@ from .partition import (
     PartitionResult,
     escort,
     log_partition,
-    partition_d1,
-    partition_d2,
+    margin_derivatives,
     tempered_probs,
     tempered_probs_rows,
 )
-from .loss import (
-    Example,
-    SaturationError,
-    TemperaturePair,
-    batch_losses,
-    binary_grad,
-    binary_loss,
-    regularized_objective,
-    surrogate_grad,
-    surrogate_loss,
-)
+from .loss import TemperaturePair, batch_losses, regularized_objective
 from .optimizer import OptimizerConfig, OptimizationTrace, lbfgs_minimize
 from .data import (
     DataFormatError,
@@ -51,7 +40,6 @@ from .model import (
     TTLRModel,
     fit,
     load_model,
-    make_baseline,
     predict,
     predict_proba,
     save_model,
@@ -66,7 +54,9 @@ from .analysis import (
     curvature_report,
     curvature_to_csv,
     find_inflection,
+    loss_first_derivative,
     loss_second_derivative,
+    margin_losses,
 )
 from .verify import run_verification
 from .experiment import (
@@ -95,19 +85,12 @@ __all__ = [
     "PartitionResult",
     "escort",
     "log_partition",
-    "partition_d1",
-    "partition_d2",
+    "margin_derivatives",
     "tempered_probs",
     "tempered_probs_rows",
-    "Example",
-    "SaturationError",
     "TemperaturePair",
     "batch_losses",
-    "binary_grad",
-    "binary_loss",
     "regularized_objective",
-    "surrogate_grad",
-    "surrogate_loss",
     "OptimizerConfig",
     "OptimizationTrace",
     "lbfgs_minimize",
@@ -124,7 +107,6 @@ __all__ = [
     "TTLRModel",
     "fit",
     "load_model",
-    "make_baseline",
     "predict",
     "predict_proba",
     "save_model",
@@ -137,7 +119,9 @@ __all__ = [
     "curvature_report",
     "curvature_to_csv",
     "find_inflection",
+    "loss_first_derivative",
     "loss_second_derivative",
+    "margin_losses",
     "run_verification",
     "CrossValSpec",
     "ExperimentSpec",

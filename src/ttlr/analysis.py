@@ -2,7 +2,7 @@
 
 Works in the binary margin parameterization (activations [a/2, -a/2], label
 c = +1 unless stated). Closed-form first and second derivatives of the loss
-are compared against finite differences elsewhere; here they drive regime
+are checked against finite differences in `verify`; here they drive regime
 classification and inflection search, and two oracles verify that minimizing
 the expected loss recovers the class posterior's argmax.
 """
@@ -13,16 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import TemperaturePair, as_pair, _losses_from_probs
+from .loss import TemperaturePair, as_pair, batch_losses
 from .optimizer import OptimizerConfig, lbfgs_minimize
-from .partition import tempered_probs_rows
+from .partition import margin_derivatives, tempered_probs_rows
 from .tempered import log_t
 
 __all__ = [
     "CurvatureReport",
     "BayesCheck",
     "MulticlassBayesCheck",
+    "margin_losses",
+    "loss_first_derivative",
     "loss_second_derivative",
+    "inflection_residual",
     "find_inflection",
     "curvature_report",
     "bayes_binary_check",
@@ -40,36 +43,27 @@ def is_convex_pair(temps) -> bool:
     return temps.t1 >= temps.t2 and temps.t1 >= 1.0
 
 
-def _margin_pieces(a, t2: float):
-    """Probabilities of class +1 plus dG/da and d2G/da2 on a margin array."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    A = np.stack([0.5 * a, -0.5 * a], axis=1)
-    P = tempered_probs_rows(A, t2)
-    powered = np.power(P, t2)
-    S = powered.sum(axis=1)
-    d1 = 0.5 * (powered[:, 0] - powered[:, 1]) / S
-    weights = np.zeros_like(P)
-    pos = P > 0.0
-    weights[pos] = np.power(P[pos], 2.0 * t2 - 1.0)
-    c_half = np.array([0.5, -0.5])
-    d2 = t2 * (weights * (c_half[None, :] - d1[:, None]) ** 2).sum(axis=1) / S
-    return P[:, 0], d1, d2
+# Activations [a/2, -a/2] of the margin a as a one-feature linear map.
+_MARGIN_EMBEDDING = np.array([[0.5, -0.5]])
 
 
 def margin_losses(a, temps, c: int = 1) -> np.ndarray:
-    """Binary loss values over an array of margins for label c."""
-    temps = as_pair(temps)
+    """Binary loss values over an array of margins for label c in {+1, -1}.
+
+    The batched loss of the two-class embedding; at t1 = t2 = 1 this is
+    log(1 + exp(-c a)), and the c = -1 loss at a is the c = +1 loss at -a.
+    """
+    if c not in (1, -1):
+        raise ValueError("binary label must be +1 or -1")
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    A = np.stack([0.5 * a, -0.5 * a], axis=1)
-    P = tempered_probs_rows(A, temps.t2)
-    pc = P[:, 0] if c == 1 else P[:, 1]
-    return _losses_from_probs(pc, temps.t1)
+    y = np.full(a.size, 1 if c == 1 else 2)
+    return batch_losses(a[:, None], y, _MARGIN_EMBEDDING, temps)
 
 
 def loss_first_derivative(a, temps):
     """d/da of the c=+1 loss: -p^(t2-t1) (1/2 - dG/da); 0 on the plateau."""
     temps = as_pair(temps)
-    p, d1, _ = _margin_pieces(a, temps.t2)
+    p, d1, _ = margin_derivatives(a, temps.t2)
     out = np.zeros_like(p)
     pos = p > 0.0
     out[pos] = -np.power(p[pos], temps.gap) * (0.5 - d1[pos])
@@ -82,7 +76,7 @@ def loss_second_derivative(a, temps):
     Returns exactly 0 inside the p = 0 plateau, where the loss is constant.
     """
     temps = as_pair(temps)
-    p, d1, d2 = _margin_pieces(a, temps.t2)
+    p, d1, d2 = margin_derivatives(a, temps.t2)
     out = np.zeros_like(p)
     pos = p > 0.0
     pp = p[pos]
@@ -92,13 +86,14 @@ def loss_second_derivative(a, temps):
     return out if np.ndim(a) else float(out[0])
 
 
-def _inflection_residual(a: float, temps: TemperaturePair) -> float:
+def inflection_residual(a: float, temps) -> float:
     """Residual of d2G = (t2-t1) p^(t2-1) (1/2 - dG)^2 at a point.
 
     An exactly-zero probability contributes zero (the same skip convention as
     every other escort-power sum), making the residual 0 at plateau boundaries.
     """
-    p, d1, d2 = _margin_pieces(np.array([a]), temps.t2)
+    temps = as_pair(temps)
+    p, d1, d2 = margin_derivatives(np.array([a]), temps.t2)
     p, d1, d2 = float(p[0]), float(d1[0]), float(d2[0])
     term = 0.0 if p == 0.0 else temps.gap * p ** (temps.t2 - 1.0) * (0.5 - d1) ** 2
     return d2 - term
@@ -123,7 +118,7 @@ def _bisect_plateau_boundary(temps, zero_side: float, live_side: float) -> float
     """Margin where the p = 0 plateau ends; returns the zero-side endpoint."""
 
     def saturated(a):
-        p, _, _ = _margin_pieces(np.array([a]), temps.t2)
+        p, _, _ = margin_derivatives(np.array([a]), temps.t2)
         return p[0] == 0.0
 
     for _ in range(200):
@@ -145,7 +140,7 @@ def _scan_inflections(temps: TemperaturePair, grid: np.ndarray) -> list:
     finite side is strictly positive ("sign change into the plateau").
     """
     d2 = loss_second_derivative(grid, temps)
-    p, _, _ = _margin_pieces(grid, temps.t2)
+    p, _, _ = margin_derivatives(grid, temps.t2)
     onplateau = p == 0.0
     points = []
     for i in range(len(grid) - 1):
@@ -181,7 +176,7 @@ def find_inflection(temps, lo: float, hi: float, grid_points: int = 4001) -> lis
     grid = np.linspace(lo, hi, grid_points)
     points = _scan_inflections(temps, grid)
     for a in points:
-        resid = abs(_inflection_residual(a, temps))
+        resid = abs(inflection_residual(a, temps))
         if resid > INFLECTION_RESIDUAL_TOL:
             raise RuntimeError(
                 f"inflection at {a!r} violates the balance equation "

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .data import DataFormatError, NoiseSpec, parse_libsvm, serialize_libsvm
+from .data import DataFormatError, NoiseSpec, format_number, parse_libsvm, serialize_libsvm
 from .experiment import (
     rows_to_csv,
     rows_to_json,
@@ -79,9 +79,7 @@ def _cmd_predict(args) -> int:
     else:
         # label spaces differ; emit internal 1-based class ids
         labels = list(preds)
-    from .data import _format_number
-
-    _write_out("\n".join(_format_number(v) for v in labels) + "\n", args.out)
+    _write_out("\n".join(format_number(v) for v in labels) + "\n", args.out)
     return 0
 
 

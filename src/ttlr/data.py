@@ -13,12 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .loss import Example
-
 __all__ = [
     "Dataset",
     "NoiseSpec",
     "DataFormatError",
+    "format_number",
     "parse_libsvm",
     "serialize_libsvm",
     "synth_gaussians",
@@ -60,10 +59,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.X.shape[1]
-
-    def examples(self) -> list:
-        """Per-example view used by the per-example loss API."""
-        return [Example(self.X[[i]], int(self.y[i])) for i in range(self.n)]
 
     def signed_labels(self) -> np.ndarray:
         """Binary labels as -1/+1 (class 1 -> -1, class 2 -> +1)."""
@@ -113,7 +108,7 @@ class NoiseSpec:
         return inject_margin_flip(data, self.level, self.seed)
 
 
-def _format_number(v: float) -> str:
+def format_number(v: float) -> str:
     """Shortest exact decimal form; integers drop the trailing .0."""
     f = float(v)
     if f == int(f) and abs(f) < 1e16:
@@ -180,6 +175,15 @@ def parse_libsvm(stream, dim: int | None = None) -> Dataset:
 
     if n == 0:
         raise DataFormatError("no examples found in stream")
+    values = np.asarray(vals, dtype=float)
+    rows = np.asarray(rows, dtype=np.int64)
+    bad_rows = ~np.isfinite(np.asarray(raw_labels, dtype=float))
+    bad_rows[rows[~np.isfinite(values)]] = True
+    if bad_rows.any():
+        # examples are numbered over the non-blank lines
+        row = int(np.argmax(bad_rows))
+        lineno = [k for k, line in enumerate(lines, start=1) if line.split()][row]
+        raise DataFormatError(f"line {lineno}: label and feature values must be finite")
     if dim is None:
         dim = max_index
     elif dim < max_index:
@@ -191,7 +195,7 @@ def parse_libsvm(stream, dim: int | None = None) -> Dataset:
     remap = {orig: k + 1 for k, orig in enumerate(table)}
     y = np.array([remap[v] for v in raw_labels], dtype=np.int64)
     X = sparse.csr_array(
-        (vals, (rows, cols)), shape=(n, dim), dtype=float
+        (values, (rows, cols)), shape=(n, dim), dtype=float
     )
     return Dataset(X, y, num_classes=len(table), label_table=tuple(table))
 
@@ -203,9 +207,9 @@ def serialize_libsvm(data: Dataset) -> str:
     out = []
     for i in range(data.n):
         start, end = X.indptr[i], X.indptr[i + 1]
-        parts = [_format_number(table[data.y[i] - 1])]
+        parts = [format_number(table[data.y[i] - 1])]
         for j, v in zip(X.indices[start:end], X.data[start:end]):
-            parts.append(f"{j + 1}:{_format_number(v)}")
+            parts.append(f"{j + 1}:{format_number(v)}")
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"
 

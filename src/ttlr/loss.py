@@ -5,6 +5,10 @@ where the probability itself is built with exp_t2. With t1 = t2 = 1 this is
 multiclass logistic regression; t1 = 1, t2 = t is the t-logistic loss; t1 < 1
 caps the loss at 1/(1-t1) and a positive temperature gap t2 - t1 damps the
 gradient of low-probability examples by the importance factor p^(t2-t1).
+
+Losses and gradients are computed for a whole feature matrix at once; a single
+example is a one-row matrix, and the binary margin form is the two-column
+embedding W = [w/2, -w/2] (see analysis.margin_losses).
 """
 
 from __future__ import annotations
@@ -13,23 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import escort_rows, partition_d1, tempered_probs_rows
+from .partition import escort_rows, tempered_probs_rows
 from .tempered import log_t, validate_temperature
 
 __all__ = [
     "TemperaturePair",
-    "Example",
-    "SaturationError",
-    "surrogate_loss",
-    "surrogate_grad",
-    "binary_loss",
-    "binary_grad",
+    "batch_losses",
     "regularized_objective",
 ]
-
-
-class SaturationError(ArithmeticError):
-    """Raised where the gradient has no finite limit at an exactly-zero probability."""
 
 
 @dataclass(frozen=True)
@@ -56,26 +51,6 @@ def as_pair(temps) -> TemperaturePair:
     if isinstance(temps, TemperaturePair):
         return temps
     return TemperaturePair(*temps)
-
-
-@dataclass(frozen=True)
-class Example:
-    """One labeled point: feature vector x (dense or CSR row), label c in {1..C}."""
-
-    x: object
-    c: int
-
-
-def _as_row_activation(x, W: np.ndarray) -> np.ndarray:
-    """Activation vector W^T x as a flat (C,) array; x may be sparse or dense."""
-    a = x @ W
-    return np.asarray(a, dtype=float).ravel()
-
-
-def _dense_vector(x) -> np.ndarray:
-    if hasattr(x, "toarray"):
-        return np.asarray(x.toarray(), dtype=float).ravel()
-    return np.asarray(x, dtype=float).ravel()
 
 
 def _losses_from_probs(pn: np.ndarray, t1: float) -> np.ndarray:
@@ -107,78 +82,9 @@ def _importance(pn: np.ndarray, gap: float) -> np.ndarray:
     return out
 
 
-def surrogate_loss(example: Example, W: np.ndarray, temps) -> float:
-    """-log_t1 of the tempered probability of the true class; always >= 0."""
-    temps = as_pair(temps)
-    a = _as_row_activation(example.x, W)
-    p = tempered_probs_rows(a[None, :], temps.t2)[0]
-    pn = p[example.c - 1]
-    return float(_losses_from_probs(np.array([pn]), temps.t1)[0])
-
-
-def surrogate_grad(example: Example, W: np.ndarray, temps) -> np.ndarray:
-    """d x C gradient: column c is -p_n^(t2-t1) [1{c = c_n} - escort_c] x.
-
-    At t1 = t2 the importance factor is identically 1 and this is the softmax
-    regression gradient. Raises SaturationError where no finite limit exists
-    (exactly-zero probability with t1 >= 1 and t2 <= t1).
-    """
-    temps = as_pair(temps)
-    a = _as_row_activation(example.x, W)
-    p = tempered_probs_rows(a[None, :], temps.t2)[0]
-    pn = p[example.c - 1]
-    if pn == 0.0 and temps.t1 >= 1.0 and temps.gap <= 0.0:
-        raise SaturationError(
-            "gradient undefined: true-class probability is exactly 0 "
-            f"with t1={temps.t1} >= 1 and t2 <= t1"
-        )
-    q = escort_rows(p[None, :], temps.t2)[0]
-    coeff = -q
-    coeff[example.c - 1] += 1.0
-    factor = float(_importance(np.array([pn]), temps.gap)[0])
-    xd = _dense_vector(example.x)
-    return -factor * np.outer(xd, coeff)
-
-
-def _margin_prob(a: float, c: int, t2: float) -> float:
-    """Tempered probability of class c in the binary margin parameterization."""
-    A = np.array([[0.5 * a, -0.5 * a]])
-    p = tempered_probs_rows(A, t2)[0]
-    return float(p[0] if c == 1 else p[1])
-
-
-def binary_loss(x, c: int, w: np.ndarray, temps) -> float:
-    """-log_t1 exp_t2((c/2) <x,w> - G(<x,w>)) with the two-class normalizer G.
-
-    Equals surrogate_loss on the two-column representation W = [w/2, -w/2];
-    at t1 = t2 = 1 this is log(1 + exp(-c <x,w>)).
-    """
-    temps = as_pair(temps)
-    if c not in (1, -1):
-        raise ValueError("binary label must be +1 or -1")
-    a = float(np.asarray(x @ np.asarray(w, dtype=float)).ravel()[0])
-    p = _margin_prob(a, c, temps.t2)
-    return float(_losses_from_probs(np.array([p]), temps.t1)[0])
-
-
-def binary_grad(x, c: int, w: np.ndarray, temps) -> np.ndarray:
-    """Gradient -p^(t2-t1) (c/2 - dG/da) x of the binary loss in w."""
-    temps = as_pair(temps)
-    if c not in (1, -1):
-        raise ValueError("binary label must be +1 or -1")
-    a = float(np.asarray(x @ np.asarray(w, dtype=float)).ravel()[0])
-    p = _margin_prob(a, c, temps.t2)
-    if p == 0.0 and temps.t1 >= 1.0 and temps.gap <= 0.0:
-        raise SaturationError(
-            "gradient undefined: probability is exactly 0 with t1 >= 1 and t2 <= t1"
-        )
-    factor = float(_importance(np.array([p]), temps.gap)[0])
-    d1 = partition_d1(a, temps.t2)
-    return -factor * (0.5 * c - d1) * _dense_vector(x)
-
-
-def batch_losses(X, y: np.ndarray, W: np.ndarray, temps: TemperaturePair) -> np.ndarray:
+def batch_losses(X, y: np.ndarray, W: np.ndarray, temps) -> np.ndarray:
     """Per-example losses for a whole feature matrix, in example order."""
+    temps = as_pair(temps)
     A = np.asarray(X @ W, dtype=float)
     P = tempered_probs_rows(A, temps.t2)
     pn = P[np.arange(A.shape[0]), y - 1]

@@ -1,4 +1,4 @@
-"""Classifier facade: fit via L-BFGS, predict, baseline constructors, serialization.
+"""Classifier facade: fit via L-BFGS, predict, serialization.
 
 The model is purely linear (no automatic bias column); prediction is the
 argmax over per-class activations with ties broken toward the lowest class
@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .loss import TemperaturePair, as_pair, regularized_objective
 from .optimizer import OptimizationTrace, OptimizerConfig, lbfgs_minimize
@@ -22,7 +23,6 @@ __all__ = [
     "fit",
     "predict",
     "predict_proba",
-    "make_baseline",
     "save_model",
     "load_model",
 ]
@@ -30,21 +30,16 @@ __all__ = [
 MODEL_FORMAT = "ttlr-model"
 MODEL_VERSION = 1
 
+# Entrywise standard deviation of the seeded near-zero initial W.
+INIT_STDDEV = 1e-5
+
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Initialization seed and scale plus the optimizer settings.
-
-    The default init draws W entrywise from Normal(0, 1e-10), i.e. stddev 1e-5.
-    """
+    """Initialization seed plus the optimizer settings."""
 
     seed: int = 0
-    init_stddev: float = 1e-5
     optimizer: OptimizerConfig = OptimizerConfig()
-
-    def __post_init__(self):
-        if self.init_stddev < 0.0:
-            raise ValueError("init_stddev must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -73,10 +68,14 @@ def fit(data, temps, lam: float, config: FitConfig | None = None) -> TTLRModel:
     """
     temps = as_pair(temps)
     config = config or FitConfig()
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
     if data.n == 0:
         raise ValueError("dataset is empty")
     if data.num_classes < 2:
         raise ValueError("at least 2 classes are required")
+    if not np.isfinite(data.X.data).all():
+        raise ValueError("feature values must be finite")
     d, c = data.dim, data.num_classes
 
     if data.X.nnz == 0:
@@ -89,7 +88,7 @@ def fit(data, temps, lam: float, config: FitConfig | None = None) -> TTLRModel:
         )
 
     rng = np.random.default_rng(config.seed)
-    w0 = rng.normal(0.0, config.init_stddev, size=(d, c))
+    w0 = rng.normal(0.0, INIT_STDDEV, size=(d, c))
 
     def objective(flat):
         value, grad = regularized_objective(data, flat.reshape(d, c), temps, lam)
@@ -102,12 +101,16 @@ def fit(data, temps, lam: float, config: FitConfig | None = None) -> TTLRModel:
 
 
 def _activations(model: TTLRModel, x) -> np.ndarray:
+    if not sparse.issparse(x):
+        x = np.asarray(x, dtype=float)
+    if x.shape[-1] != model.dim:
+        raise ValueError(
+            f"input dimension {x.shape[-1]} does not match the model dimension {model.dim}"
+        )
+    if not np.isfinite(x.data if sparse.issparse(x) else x).all():
+        raise ValueError("input feature values must be finite")
     a = np.asarray(x @ model.W, dtype=float)
-    if a.ndim == 1:
-        a = a[None, :]
-    if a.shape[1] != model.num_classes:
-        raise ValueError("input dimension does not match the model")
-    return a
+    return a[None, :] if a.ndim == 1 else a
 
 
 def predict(model: TTLRModel, x):
@@ -129,27 +132,6 @@ def predict_proba(model: TTLRModel, x):
     a = _activations(model, x)
     p = tempered_probs_rows(a, model.temps.t2)
     return p[0] if np.ndim(x) == 1 else p
-
-
-def make_baseline(kind: str, lam: float, config: FitConfig | None = None):
-    """Fit-ready (temps, lam, config) for the reference methods.
-
-    plain_lr is (1, 1); t_lr(t) is (1, t). Returns a callable running fit
-    with those temperatures fixed.
-    """
-    kind = kind.strip()
-    if kind == "plain_lr":
-        temps = TemperaturePair(1.0, 1.0)
-    elif kind.startswith("t_lr(") and kind.endswith(")"):
-        temps = TemperaturePair(1.0, float(kind[5:-1]))
-    else:
-        raise ValueError(f"unknown baseline {kind!r}; expected plain_lr or t_lr(t)")
-
-    def runner(data):
-        return fit(data, temps, lam, config)
-
-    runner.temps = temps
-    return runner
 
 
 def save_model(model: TTLRModel, path) -> None:
@@ -184,10 +166,15 @@ def load_model(path) -> TTLRModel:
     W = np.array(payload["weights"], dtype=float)
     if W.shape != (payload["dim"], payload["num_classes"]):
         raise ValueError("weight shape disagrees with the recorded dimensions")
+    if not np.isfinite(W).all():
+        raise ValueError(f"{path}: model weights must be finite")
+    lam = float(payload["lambda"])
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"{path}: lambda must be finite and >= 0, got {lam!r}")
     return TTLRModel(
         W,
         TemperaturePair(payload["t1"], payload["t2"]),
-        float(payload["lambda"]),
+        lam,
         int(payload["num_classes"]),
         int(payload["dim"]),
         fitted=True,

@@ -14,25 +14,20 @@ import numpy as np
 
 __all__ = ["OptimizerConfig", "OptimizationTrace", "lbfgs_minimize"]
 
+MEMORY = 10  # (s, y) pairs kept for the two-loop recursion
+ARMIJO_C1 = 1e-4  # sufficient-decrease constant
+BACKTRACK_FACTOR = 0.5  # step shrink per rejected trial
+MAX_BACKTRACKS = 50  # rejected trials before the line search gives up
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    memory: int = 10
     max_iters: int = 500
     grad_tol: float = 1e-6
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 50
 
     def __post_init__(self):
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1")
         if self.grad_tol <= 0.0:
             raise ValueError("grad_tol must be > 0")
-        if not (0.0 < self.armijo_c1 < 1.0):
-            raise ValueError("armijo_c1 must lie in (0, 1)")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise ValueError("backtrack_factor must lie in (0, 1)")
 
 
 @dataclass
@@ -110,13 +105,13 @@ def lbfgs_minimize(objective, init, config: OptimizerConfig | None = None):
 
         step = 1.0
         accepted = False
-        for _ in range(config.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             x_new = x + step * d
             f_new, g_new = objective(x_new)
-            if np.isfinite(f_new) and f_new <= f + config.armijo_c1 * step * slope:
+            if np.isfinite(f_new) and f_new <= f + ARMIJO_C1 * step * slope:
                 accepted = True
                 break
-            step *= config.backtrack_factor
+            step *= BACKTRACK_FACTOR
         if not accepted:
             trace.termination = "line_search_failed"
             return x, trace
@@ -129,7 +124,7 @@ def lbfgs_minimize(objective, init, config: OptimizerConfig | None = None):
             s_list.append(s)
             y_list.append(ygap)
             rho_list.append(1.0 / sty)
-            if len(s_list) > config.memory:
+            if len(s_list) > MEMORY:
                 s_list.pop(0)
                 y_list.pop(0)
                 rho_list.pop(0)

@@ -22,8 +22,7 @@ __all__ = [
     "tempered_probs",
     "tempered_probs_rows",
     "escort",
-    "partition_d1",
-    "partition_d2",
+    "margin_derivatives",
 ]
 
 # Absolute tolerance on the normalization residual |sum_c exp_t2(a_c - G) - 1|.
@@ -137,11 +136,11 @@ def escort(p, t2: float) -> np.ndarray:
         raise ValueError("p must be a nonempty 1-d vector")
     if np.any(p < 0.0) or not np.isfinite(p).all():
         raise ValueError("p must be entrywise finite and >= 0")
-    powered = np.power(p, t2)
-    total = powered.sum()
-    if total <= 0.0:
-        raise ValueError("escort of the all-zero vector is undefined")
-    return powered / total
+    with np.errstate(invalid="ignore"):
+        q = escort_rows(p[None, :], t2)[0]
+    if not np.isfinite(q).all():
+        raise ValueError("escort is undefined: sum_c p_c^t2 is 0 or not finite")
+    return q
 
 
 def escort_rows(P: np.ndarray, t2: float) -> np.ndarray:
@@ -150,40 +149,24 @@ def escort_rows(P: np.ndarray, t2: float) -> np.ndarray:
     return powered / powered.sum(axis=1, keepdims=True)
 
 
-def _margin_quantities(a, t2: float):
-    """Shared pieces for the scalar-margin derivatives of G.
+def margin_derivatives(a, t2: float):
+    """Class +1 probability, dG/da and d2G/da2 along [a/2, -a/2].
 
-    The two-class activation vector is [a/2, -a/2]; returns per-margin
-    probabilities (n, 2) and the escort normalizer sum_c p_c^t2.
+    Takes an array of margins. dG/da is the escort mean of c/2, inside
+    [-1/2, 1/2], and equals tanh(a/2)/2 at t2 = 1. d2G/da2 is the
+    t2-weighted escort variance of c/2, >= 0; classes with exactly zero
+    probability contribute nothing, so inside the t2 < 1 plateau (all mass on
+    one class) it is exactly 0.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     A = np.stack([0.5 * a, -0.5 * a], axis=1)
     P = tempered_probs_rows(A, t2)
-    S = np.power(P, t2).sum(axis=1)
-    return P, S
-
-
-def partition_d1(a, t2: float):
-    """dG/da along [a/2, -a/2]: the escort mean of c/2, inside [-1/2, 1/2].
-
-    At t2 = 1 this is tanh(a/2)/2; it vanishes at a = 0 by symmetry.
-    """
-    P, S = _margin_quantities(a, t2)
-    d1 = 0.5 * (np.power(P[:, 0], t2) - np.power(P[:, 1], t2)) / S
-    return d1 if np.ndim(a) else float(d1[0])
-
-
-def partition_d2(a, t2: float):
-    """d2G/da2 along [a/2, -a/2]: t2-weighted escort variance of c/2, >= 0.
-
-    Classes with exactly zero probability contribute nothing; inside the
-    t2 < 1 plateau (all mass on one class) the value is exactly 0.
-    """
-    P, S = _margin_quantities(a, t2)
-    d1 = 0.5 * (np.power(P[:, 0], t2) - np.power(P[:, 1], t2)) / S
+    powered = np.power(P, t2)
+    S = powered.sum(axis=1)
+    d1 = 0.5 * (powered[:, 0] - powered[:, 1]) / S
     weights = np.zeros_like(P)
     pos = P > 0.0
     weights[pos] = np.power(P[pos], 2.0 * t2 - 1.0)
     c_half = np.array([0.5, -0.5])
     d2 = t2 * (weights * (c_half[None, :] - d1[:, None]) ** 2).sum(axis=1) / S
-    return d2 if np.ndim(a) else float(d2[0])
+    return P[:, 0], d1, d2

@@ -1,10 +1,10 @@
 """Self-check batteries behind the `verify` subcommand.
 
 Four suites, each a list of named checks with a measured value and its
-tolerance: finite-difference gradient validation, special-case recovery
-against an independent softmax implementation, curvature regime
-classification, and the two calibration oracles. Failures are report
-content, not exceptions.
+tolerance: finite-difference validation of the training objective's
+gradient and of the binary loss derivative, special-case recovery against an
+independent softmax implementation, curvature regime classification, and
+the two calibration oracles. Failures are report content, not exceptions.
 """
 
 from __future__ import annotations
@@ -21,21 +21,14 @@ from .analysis import (
     bayes_multiclass_check,
     curvature_report,
     find_inflection,
+    inflection_residual,
     is_convex_pair,
+    loss_first_derivative,
     loss_second_derivative,
-    _inflection_residual,
-    _margin_pieces,
+    margin_losses,
 )
-from .loss import (
-    Example,
-    as_pair,
-    binary_grad,
-    binary_loss,
-    regularized_objective,
-    surrogate_grad,
-    surrogate_loss,
-)
-from .partition import tempered_probs_rows
+from .loss import as_pair, batch_losses, regularized_objective
+from .partition import margin_derivatives, tempered_probs_rows
 
 __all__ = [
     "CheckResult",
@@ -62,6 +55,8 @@ TEMPERATURE_POOL = [
     (0.7, 1.0),
 ]
 
+LAMBDA_POOL = [0.0, 1e-3, 0.1]
+
 REGIME_GRID = [0.4, 0.7, 1.0, 1.3, 1.6]
 
 
@@ -85,23 +80,24 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-def _draw_smooth_config(rng, temps):
-    """Random (x, W, c) whose true-class probability is safely interior.
+def _draw_smooth_problem(rng, temps):
+    """Random dataset of 1 to 5 rows and weights W, all rows safely interior.
 
-    Finite differences sit on a smooth patch only when no class probability
-    is pinned at zero within the step; redraw until the configuration clears
-    a margin of 1e-3.
+    Finite differences sit on a smooth patch only when no true-class
+    probability is pinned at zero within the step; redraw until every row
+    clears a margin of 1e-3.
     """
     temps = as_pair(temps)
     while True:
+        n = int(rng.integers(1, 6))
         dim = int(rng.integers(2, 7))
         num_classes = int(rng.integers(2, 6))
-        x = rng.normal(0.0, 1.0, size=dim)
+        X = rng.normal(0.0, 1.0, size=(n, dim))
         W = rng.normal(0.0, 0.4, size=(dim, num_classes))
-        c = int(rng.integers(1, num_classes + 1))
-        probs = tempered_probs_rows((x @ W)[None, :], temps.t2)[0]
-        if probs[c - 1] >= 1e-3:
-            return x, W, c
+        y = rng.integers(1, num_classes + 1, size=n)
+        probs = tempered_probs_rows(X @ W, temps.t2)
+        if probs[np.arange(n), y - 1].min() >= 1e-3:
+            return SimpleNamespace(X=X, y=y), W
 
 
 def _fd_gradient(fun, W, h=1e-6):
@@ -115,55 +111,46 @@ def _fd_gradient(fun, W, h=1e-6):
     return out
 
 
+def _relative_error(analytic, fd) -> float:
+    return float(np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1e-12))
+
+
 def gradient_suite(num_configs: int = 200, seed: int = 20240501) -> list:
     rng = np.random.default_rng(seed)
     worst_multi = 0.0
     for k in range(num_configs):
         temps = TEMPERATURE_POOL[k % len(TEMPERATURE_POOL)]
-        x, W, c = _draw_smooth_config(rng, temps)
-        example = Example(x=x, c=c)
-        analytic = surrogate_grad(example, W, temps)
-        fd = _fd_gradient(lambda M: surrogate_loss(example, M, temps), W)
-        scale = max(np.abs(fd).max(), 1e-12)
-        worst_multi = max(worst_multi, np.abs(analytic - fd).max() / scale)
+        lam = LAMBDA_POOL[k % len(LAMBDA_POOL)]
+        data, W = _draw_smooth_problem(rng, temps)
+        _, analytic = regularized_objective(data, W, temps, lam)
+        fd = _fd_gradient(lambda M: regularized_objective(data, M, temps, lam)[0], W)
+        worst_multi = max(worst_multi, _relative_error(analytic, fd))
     worst_binary = 0.0
+    h = 1e-6
     for k in range(num_configs):
         temps = as_pair(TEMPERATURE_POOL[k % len(TEMPERATURE_POOL)])
         while True:
-            dim = int(rng.integers(2, 7))
-            x = rng.normal(0.0, 1.0, size=dim)
-            w = rng.normal(0.0, 0.4, size=dim)
-            c = int(rng.choice([-1, 1]))
-            a = float(x @ w)
-            A = np.array([[0.5 * a, -0.5 * a]])
-            probs = tempered_probs_rows(A, temps.t2)[0]
-            if probs[0 if c == 1 else 1] >= 1e-3:
+            a = float(rng.normal(0.0, 1.0))
+            p_plus, _, _ = margin_derivatives(a, temps.t2)
+            if p_plus[0] >= 1e-3:
                 break
-        analytic = binary_grad(x, c, w, temps)
-        h = 1e-6
-        fd = np.zeros_like(w)
-        for j in range(dim):
-            wp = w.copy()
-            wp[j] += h
-            wm = w.copy()
-            wm[j] -= h
-            fd[j] = (binary_loss(x, c, wp, temps) - binary_loss(x, c, wm, temps)) / (2 * h)
-        scale = max(np.abs(fd).max(), 1e-12)
-        worst_binary = max(worst_binary, np.abs(analytic - fd).max() / scale)
+        analytic = loss_first_derivative(a, temps)
+        fd = (margin_losses(a + h, temps)[0] - margin_losses(a - h, temps)[0]) / (2.0 * h)
+        worst_binary = max(worst_binary, _relative_error(analytic, fd))
     return [
         CheckResult(
-            "surrogate_grad vs central differences",
+            "regularized_objective gradient vs central differences",
             worst_multi <= 1e-5,
             worst_multi,
             1e-5,
-            f"{num_configs} random (x, W, temps) configurations",
+            f"{num_configs} random (data, W, temps, lambda) configurations",
         ),
         CheckResult(
-            "binary_grad vs central differences",
+            "loss_first_derivative vs central differences of margin_losses",
             worst_binary <= 1e-5,
             worst_binary,
             1e-5,
-            f"{num_configs} random (x, w, temps) configurations",
+            f"{num_configs} random (margin, temps) configurations",
         ),
     ]
 
@@ -195,26 +182,23 @@ def recovery_suite(seed: int = 20240502) -> list:
         data = SimpleNamespace(X=X, y=y)
         value, grad = regularized_objective(data, W, (1.0, 1.0), lam)
         P = tempered_probs_rows(X @ W, 1.0)
+        losses = batch_losses(X, y, W, (1.0, 1.0))
         worst = max(
             worst,
             abs(value - ref_value),
             np.abs(grad - ref_grad).max(),
             np.abs(P - ref_P).max(),
+            np.abs(losses - ref_losses).max(),
         )
-        for i in range(n):
-            li = surrogate_loss(Example(x=X[i], c=int(y[i])), W, (1.0, 1.0))
-            worst = max(worst, abs(li - ref_losses[i]))
     rng2 = np.random.default_rng(seed + 1)
-    worst_tlog = 0.0
-    for _ in range(200):
-        dim, num_classes = 4, 3
-        x = rng2.normal(size=dim)
-        W = rng2.normal(0.0, 0.8, size=(dim, num_classes))
-        c = int(rng2.integers(1, num_classes + 1))
-        loss = surrogate_loss(Example(x=x, c=c), W, (1.0, 1.6))
-        probs = tempered_probs_rows((x @ W)[None, :], 1.6)[0]
-        direct = -np.log(probs[c - 1])
-        worst_tlog = max(worst_tlog, abs(loss - direct))
+    n, dim, num_classes = 200, 4, 3
+    X = rng2.normal(size=(n, dim))
+    W = rng2.normal(0.0, 0.8, size=(dim, num_classes))
+    y = rng2.integers(1, num_classes + 1, size=n)
+    losses = batch_losses(X, y, W, (1.0, 1.6))
+    probs = tempered_probs_rows(X @ W, 1.6)
+    direct = -np.log(probs[np.arange(n), y - 1])
+    worst_tlog = float(np.abs(losses - direct).max())
     return [
         CheckResult(
             "t1=t2=1 matches reference softmax regression",
@@ -228,7 +212,7 @@ def recovery_suite(seed: int = 20240502) -> list:
             worst_tlog == 0.0,
             worst_tlog,
             0.0,
-            "bitwise agreement on 200 random activations",
+            "bitwise agreement on 200 random activation rows",
         ),
     ]
 
@@ -254,7 +238,7 @@ def curvature_suite() -> list:
         )
     )
     points = find_inflection((0.6, 1.6), -20.0, 5.0)
-    resid = abs(_inflection_residual(points[0], as_pair((0.6, 1.6)))) if points else np.inf
+    resid = abs(inflection_residual(points[0], (0.6, 1.6))) if points else np.inf
     checks.append(
         CheckResult(
             "t1=0.6, t2=1.6 has exactly one inflection on [-20, 5]",
@@ -268,7 +252,7 @@ def curvature_suite() -> list:
     grid = np.linspace(-10.0, 10.0, 801)
     for t1, t2 in [(1.0, 1.0), (1.3, 1.0), (1.6, 1.0), (1.3, 0.7), (1.6, 0.4), (1.2, 1.2)]:
         d2_loss = loss_second_derivative(grid, (t1, t2))
-        _, _, d2_G = _margin_pieces(grid, t2)
+        _, _, d2_G = margin_derivatives(grid, t2)
         worst_violation = max(worst_violation, float((d2_G - d2_loss).max()))
     checks.append(
         CheckResult(

@@ -17,8 +17,8 @@ from ttlr.analysis import (
     loss_second_derivative,
     margin_losses,
 )
-from ttlr.loss import TemperaturePair, binary_loss
-from ttlr.partition import partition_d2
+from ttlr.loss import TemperaturePair
+from ttlr.partition import margin_derivatives
 
 
 def test_convex_pair_truth_table():
@@ -29,18 +29,6 @@ def test_convex_pair_truth_table():
     assert not is_convex_pair(TemperaturePair(1.0, 1.6))
     assert not is_convex_pair(TemperaturePair(0.9, 0.9))
     assert not is_convex_pair(TemperaturePair(1.2, 1.5))
-
-
-def test_margin_losses_match_binary_loss():
-    grid = np.linspace(-6.0, 6.0, 13)
-    for temps in ((1.0, 1.0), (0.6, 1.6), (0.8, 0.6)):
-        tp = TemperaturePair(*temps)
-        for c in (1, -1):
-            vals = margin_losses(grid, tp, c=c)
-            direct = np.array(
-                [binary_loss(np.array([1.0]), c, np.array([a]), tp) for a in grid]
-            )
-            assert np.allclose(vals, direct, atol=1e-13)
 
 
 def test_logistic_second_derivative_oracle():
@@ -58,7 +46,7 @@ def test_equal_temperature_loss_curvature_equals_partition_curvature():
     for t in (1.0, 1.3):
         tp = TemperaturePair(t, t)
         d2_loss = loss_second_derivative(grid, tp)
-        d2_g = partition_d2(grid, t)
+        _, _, d2_g = margin_derivatives(grid, t)
         assert np.allclose(d2_loss, d2_g, atol=1e-12)
 
 

@@ -66,6 +66,15 @@ def test_parse_rejects_malformed_input():
         parse_libsvm("")
     with pytest.raises(DataFormatError, match="expected idx:val"):
         parse_libsvm("1 17\n")
+    # non-finite labels and values; blank lines count toward the line number
+    for text, where in (
+        ("1 1:1\n\n2 1:nan\n", "line 3"),
+        ("1 1:1 2:inf\n2 1:1\n", "line 1"),
+        ("1 1:1\n2 2:-inf\n1 1:nan\n", "line 2"),
+        ("1 1:1\nnan 1:2\n", "line 2"),
+    ):
+        with pytest.raises(DataFormatError, match=f"{where}: .*must be finite"):
+            parse_libsvm(text)
 
 
 def test_serialize_round_trip_is_exact():

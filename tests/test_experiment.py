@@ -52,7 +52,7 @@ def test_parse_method_grammar():
     assert m.temps == TemperaturePair(0.6, 1.6)
     m = parse_method("ttlr(0.6, 1.6)")
     assert m.temps == TemperaturePair(0.6, 1.6)
-    for bad in ("lr", "ttlr", "ttlr(1)", "ttlr(0.6;1.6)", "t_lr(x)"):
+    for bad in ("lr", "ttlr", "ttlr(1)", "ttlr(0.6;1.6)", "t_lr(x)", "t_lr", "t_lr(2.5)", "t_lr(0)"):
         with pytest.raises(ValueError):
             parse_method(bad)
     # in-range grammar with out-of-range temperature

@@ -8,23 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from ttlr.analysis import loss_first_derivative, margin_losses
 from ttlr.data import Dataset
-from ttlr.loss import (
-    Example,
-    SaturationError,
-    TemperaturePair,
-    batch_losses,
-    binary_grad,
-    binary_loss,
-    regularized_objective,
-    surrogate_grad,
-    surrogate_loss,
-)
+from ttlr.loss import TemperaturePair, batch_losses, regularized_objective
 
 
-def make_dataset(X_dense, y):
+def make_dataset(X_dense, y, num_classes=None):
     X = sparse.csr_array(np.asarray(X_dense, dtype=float))
-    return Dataset(X=X, y=np.asarray(y), num_classes=int(np.max(y)))
+    return Dataset(X=X, y=np.asarray(y), num_classes=num_classes or int(np.max(y)))
+
+
+def one_row_loss(x, c, W, temps):
+    """Loss of a single example, as the one-row batch."""
+    return float(batch_losses(np.atleast_2d(x), np.array([c]), W, temps)[0])
+
+
+def one_row_grad(x, c, W, temps):
+    """Gradient of a single example's loss: the one-row objective at lam = 0."""
+    data = make_dataset(np.atleast_2d(x), [c], num_classes=W.shape[1])
+    return regularized_objective(data, W, temps, 0.0)[1]
 
 
 def test_temperature_pair_validates_and_exposes_gap():
@@ -39,18 +41,13 @@ def test_temperature_pair_validates_and_exposes_gap():
 def test_logistic_special_case_values():
     # t1 = t2 = 1 with tied activations: -log(1/2)
     W = np.zeros((1, 2))
-    ex = Example(np.array([1.0]), 1)
-    assert surrogate_loss(ex, W, (1.0, 1.0)) == pytest.approx(math.log(2.0), abs=1e-14)
-    w = np.zeros(3)
-    assert binary_loss(np.array([1.0, 0.0, 2.0]), 1, w, (1.0, 1.0)) == pytest.approx(
-        math.log(2.0), abs=1e-14
-    )
+    assert one_row_loss([1.0], 1, W, (1.0, 1.0)) == pytest.approx(math.log(2.0), abs=1e-14)
+    assert margin_losses(0.0, (1.0, 1.0))[0] == pytest.approx(math.log(2.0), abs=1e-14)
     # log(1 + exp(-c a)) at a = 3
-    x = np.array([3.0])
-    assert binary_loss(x, 1, np.array([1.0]), (1.0, 1.0)) == pytest.approx(
+    assert margin_losses(3.0, (1.0, 1.0), c=1)[0] == pytest.approx(
         math.log1p(math.exp(-3.0)), abs=1e-12
     )
-    assert binary_loss(x, -1, np.array([1.0]), (1.0, 1.0)) == pytest.approx(
+    assert margin_losses(3.0, (1.0, 1.0), c=-1)[0] == pytest.approx(
         math.log1p(math.exp(3.0)), abs=1e-12
     )
 
@@ -59,12 +56,11 @@ def test_loss_is_capped_for_cool_t1():
     # true-class probability 0 hits the cap exactly when t2 < 1
     temps = TemperaturePair(0.6, 0.7)
     W = np.array([[0.0, 60.0]])
-    ex = Example(np.array([1.0]), 1)
-    assert surrogate_loss(ex, W, temps) == 2.5
+    assert one_row_loss([1.0], 1, W, temps) == 2.5
     # hot t2 only approaches the cap asymptotically
     temps_hot = TemperaturePair(0.6, 1.6)
     vals = [
-        surrogate_loss(Example(np.array([1.0]), 1), np.array([[0.0, m]]), temps_hot)
+        one_row_loss([1.0], 1, np.array([[0.0, m]]), temps_hot)
         for m in (1e2, 1e4, 1e6)
     ]
     assert all(v < 2.5 + 1e-9 for v in vals)
@@ -74,70 +70,43 @@ def test_loss_is_capped_for_cool_t1():
 
 def test_saturated_loss_is_infinite_when_hot():
     W = np.array([[0.0, 60.0]])
-    ex = Example(np.array([1.0]), 1)
-    assert surrogate_loss(ex, W, (1.0, 0.7)) == np.inf
-    assert surrogate_loss(ex, W, (1.3, 0.5)) == np.inf
-
-
-def test_gradient_matches_finite_differences():
-    rng = np.random.default_rng(42)
-    h = 1e-6
-    for temps in ((1.0, 1.0), (0.6, 1.6), (1.0, 1.9), (1.4, 0.8), (0.8, 0.6)):
-        x = rng.normal(size=4)
-        W = rng.normal(scale=0.5, size=(4, 3))
-        ex = Example(x, int(rng.integers(1, 4)))
-        g = surrogate_grad(ex, W, temps)
-        assert g.shape == (4, 3)
-        fd = np.zeros_like(W)
-        for i in range(4):
-            for j in range(3):
-                Wp = W.copy()
-                Wp[i, j] += h
-                Wm = W.copy()
-                Wm[i, j] -= h
-                fd[i, j] = (
-                    surrogate_loss(ex, Wp, temps) - surrogate_loss(ex, Wm, temps)
-                ) / (2.0 * h)
-        assert np.allclose(g, fd, atol=2e-6)
+    assert one_row_loss([1.0], 1, W, (1.0, 0.7)) == np.inf
+    assert one_row_loss([1.0], 1, W, (1.3, 0.5)) == np.inf
 
 
 def test_binary_gradient_matches_finite_differences():
+    # d/da of both labels against loss differences; the c = -1 loss at a is
+    # the c = +1 loss at -a, so its derivative is -loss_first_derivative(-a)
     rng = np.random.default_rng(17)
     h = 1e-6
     for temps in ((1.0, 1.0), (0.6, 1.6), (1.2, 1.2)):
-        x = rng.normal(size=3)
-        w = rng.normal(scale=0.5, size=3)
-        for c in (1, -1):
-            g = binary_grad(x, c, w, temps)
-            fd = np.zeros(3)
-            for i in range(3):
-                wp = w.copy()
-                wp[i] += h
-                wm = w.copy()
-                wm[i] -= h
-                fd[i] = (binary_loss(x, c, wp, temps) - binary_loss(x, c, wm, temps)) / (
-                    2.0 * h
-                )
-            assert np.allclose(g, fd, atol=2e-6)
+        for a in rng.normal(scale=1.5, size=3):
+            for c in (1, -1):
+                g = loss_first_derivative(a, temps) if c == 1 else -loss_first_derivative(-a, temps)
+                fd = (
+                    margin_losses(a + h, temps, c=c)[0] - margin_losses(a - h, temps, c=c)[0]
+                ) / (2.0 * h)
+                assert g == pytest.approx(fd, abs=2e-6)
 
 
 def test_binary_form_agrees_with_two_column_embedding():
-    # W = [w/2, -w/2] reproduces the margin parameterization exactly
+    # W = [w/2, -w/2] reproduces the margin parameterization: label +1 is
+    # class 1, label -1 is class 2
     rng = np.random.default_rng(5)
-    for temps in ((1.0, 1.0), (0.6, 1.6), (0.9, 0.5)):
-        x = rng.normal(size=4)
+    for temps in ((1.0, 1.0), (0.6, 1.6), (0.9, 0.5), (0.8, 0.6)):
+        X = rng.normal(size=(13, 4))
         w = rng.normal(size=4)
         W = np.column_stack([0.5 * w, -0.5 * w])
         for c, klass in ((1, 1), (-1, 2)):
-            lb = binary_loss(x, c, w, temps)
-            lm = surrogate_loss(Example(x, klass), W, temps)
-            assert lb == pytest.approx(lm, abs=1e-13)
+            lb = margin_losses(X @ w, temps, c=c)
+            lm = batch_losses(X, np.full(13, klass), W, temps)
+            assert np.allclose(lb, lm, atol=1e-13)
 
 
 def test_softmax_gradient_oracle_at_tied_activations():
     # p = q = [1/2, 1/2], factor = 1: column 1 is -(1 - 1/2) x, column 2 is +1/2 x
     x = np.array([2.0, -1.0])
-    g = surrogate_grad(Example(x, 1), np.zeros((2, 2)), (1.0, 1.0))
+    g = one_row_grad(x, 1, np.zeros((2, 2)), (1.0, 1.0))
     expected = np.outer(x, [-0.5, 0.5])
     assert np.allclose(g, expected, atol=1e-14)
 
@@ -145,42 +114,31 @@ def test_softmax_gradient_oracle_at_tied_activations():
 def test_importance_factor_scales_gradient():
     # at tied activations with t2 = 1: p_n = 1/2, factor = 2^(-gap)
     x = np.array([1.0])
-    base = surrogate_grad(Example(x, 1), np.zeros((1, 2)), (1.0, 1.0))
-    damped = surrogate_grad(Example(x, 1), np.zeros((1, 2)), (0.5, 1.0))
+    base = one_row_grad(x, 1, np.zeros((1, 2)), (1.0, 1.0))
+    damped = one_row_grad(x, 1, np.zeros((1, 2)), (0.5, 1.0))
     assert np.allclose(damped, base * 2.0 ** (-0.5), atol=1e-14)
 
 
-def test_saturation_error_raised_only_without_finite_limit():
-    # exactly-zero probability requires t2 < 1
-    W = np.array([[0.0, 60.0]])
-    ex = Example(np.array([1.0]), 1)
-    for temps in ((1.0, 0.7), (1.3, 0.5), (1.0, 0.9)):
-        with pytest.raises(SaturationError):
-            surrogate_grad(ex, W, temps)
-    # cool t1: the loss plateaus, so the zero gradient is exact
-    g = surrogate_grad(ex, W, (0.6, 0.7))
-    assert np.array_equal(g, np.zeros((1, 2)))
-    # positive gap with zero probability: damping wins, zero matrix
-    g2 = surrogate_grad(ex, W, (0.3, 0.5))
-    assert np.array_equal(g2, np.zeros((1, 2)))
-
-
 def test_binary_grad_saturation_mirror():
-    x = np.array([1.0])
-    w = np.array([-200.0])
-    with pytest.raises(SaturationError):
-        binary_grad(x, 1, w, (1.0, 0.6))
-    assert np.array_equal(binary_grad(x, 1, w, (0.5, 0.6)), np.zeros(1))
+    # a margin deep inside the t2 < 1 clamp has class +1 probability exactly
+    # 0: the loss is infinite for t1 >= 1 and capped for t1 < 1, and either
+    # way the derivative is exactly 0
+    a = np.array([-200.0])
+    assert margin_losses(a, (1.0, 0.6))[0] == np.inf
+    assert margin_losses(a, (0.5, 0.6))[0] == 2.0
+    for temps in ((1.0, 0.6), (0.5, 0.6)):
+        assert np.array_equal(loss_first_derivative(a, temps), np.zeros(1))
 
 
 def test_binary_label_validation():
     with pytest.raises(ValueError):
-        binary_loss(np.array([1.0]), 0, np.array([1.0]), (1.0, 1.0))
+        margin_losses(np.array([1.0]), (1.0, 1.0), c=0)
     with pytest.raises(ValueError):
-        binary_grad(np.array([1.0]), 2, np.array([1.0]), (1.0, 1.0))
+        margin_losses(np.array([1.0]), (1.0, 1.0), c=2)
 
 
 def test_batch_losses_match_per_example_loop():
+    # each row's loss is independent of the rest of the batch
     rng = np.random.default_rng(23)
     X = rng.normal(size=(12, 4))
     y = rng.integers(1, 4, size=12)
@@ -189,7 +147,7 @@ def test_batch_losses_match_per_example_loop():
     for temps in ((1.0, 1.0), (0.6, 1.6)):
         tp = TemperaturePair(*temps)
         batch = batch_losses(data.X, data.y, W, tp)
-        loop = np.array([surrogate_loss(ex, W, tp) for ex in data.examples()])
+        loop = np.array([one_row_loss(X[i], y[i], W, tp) for i in range(len(y))])
         assert np.allclose(batch, loop, atol=1e-14)
 
 
@@ -200,7 +158,7 @@ def test_objective_value_and_gradient():
     W = rng.normal(scale=0.4, size=(3, 3))
     lam = 0.05
     data = make_dataset(X, y)
-    for temps in ((1.0, 1.0), (0.6, 1.6), (1.2, 0.9)):
+    for temps in ((1.0, 1.0), (0.6, 1.6), (1.2, 0.9), (1.0, 1.9), (1.4, 0.8), (0.8, 0.6)):
         tp = TemperaturePair(*temps)
         value, grad = regularized_objective(data, W, tp, lam)
         mean_loss = float(np.mean(batch_losses(data.X, data.y, W, tp)))
@@ -259,6 +217,10 @@ def test_objective_with_saturated_point():
     value, grad = regularized_objective(data, W, (1.0, 0.7), 0.0)
     assert value == np.inf
     assert np.all(np.isfinite(grad))
+    # a row with true-class probability exactly 0 adds a zero gradient row:
+    # for cool t1 the loss plateaus, and a positive gap damps it to zero
+    for temps in ((0.6, 0.7), (0.3, 0.5)):
+        assert np.array_equal(one_row_grad([1.0], 1, W, temps), np.zeros((1, 2)))
 
 
 def test_objective_validates_inputs():
@@ -274,8 +236,7 @@ def test_objective_validates_inputs():
     a=st.floats(min_value=-30.0, max_value=30.0),
 )
 def test_loss_nonnegative_and_capped(t1, t2, a):
-    x = np.array([1.0])
-    val = binary_loss(x, 1, np.array([a]), (t1, t2))
+    val = margin_losses(a, (t1, t2))[0]
     assert val >= -1e-12
     if t1 < 1.0:
         assert val <= 1.0 / (1.0 - t1) + 1e-9
@@ -288,7 +249,5 @@ def test_loss_nonnegative_and_capped(t1, t2, a):
 )
 def test_loss_monotone_in_margin(t1, t2):
     # more activation on the true class never increases the loss
-    x = np.array([1.0])
-    margins = np.linspace(-10.0, 10.0, 21)
-    vals = [binary_loss(x, 1, np.array([m]), (t1, t2)) for m in margins]
+    vals = margin_losses(np.linspace(-10.0, 10.0, 21), (t1, t2))
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))

@@ -1,4 +1,4 @@
-"""Model fitting, prediction, persistence, and baseline constructors."""
+"""Model fitting, prediction, persistence, and input validation."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from ttlr.model import (
     TTLRModel,
     fit,
     load_model,
-    make_baseline,
     predict,
     predict_proba,
     save_model,
@@ -24,7 +23,8 @@ def blobs():
 
 
 def test_fit_separates_easy_data(blobs):
-    for temps in ((1.0, 1.0), (0.6, 1.6)):
+    # plain_lr, t_lr(1.6) and ttlr(0.6,1.6)
+    for temps in ((1.0, 1.0), (1.0, 1.6), (0.6, 1.6)):
         model = fit(blobs, temps=temps, lam=1e-4)
         assert model.fitted
         assert model.trace.termination == "converged"
@@ -144,23 +144,38 @@ def test_load_rejects_foreign_payload(tmp_path):
 
 def test_predict_validates_width(blobs):
     model = fit(blobs, temps=(1.0, 1.0), lam=1e-3)
-    with pytest.raises(ValueError):
-        predict(model, np.ones(5))
+    for x in (np.ones(5), np.ones(1), np.ones((4, 3)), sparse.csr_array(np.ones((2, 3)))):
+        with pytest.raises(ValueError, match="input dimension .* does not match"):
+            predict(model, x)
+    for x in (np.array([np.nan, 1.0]), np.array([[1.0, 0.0], [np.inf, 2.0]])):
+        with pytest.raises(ValueError, match="must be finite"):
+            predict(model, x)
+        with pytest.raises(ValueError, match="must be finite"):
+            predict_proba(model, x)
 
 
-def test_make_baseline_grammar():
-    plain = make_baseline("plain_lr", lam=1e-3)
-    assert plain.temps == TemperaturePair(1.0, 1.0)
-    tl = make_baseline("t_lr(1.3)", lam=1e-3)
-    assert tl.temps == TemperaturePair(1.0, 1.3)
-    for bad in ("lr", "t_lr", "ttlr(0.6,1.6)", "t_lr(2.5)", "t_lr(0)"):
-        with pytest.raises(ValueError):
-            make_baseline(bad, lam=1e-3)
+def test_fit_rejects_bad_lambda_and_features(blobs):
+    for lam in (float("nan"), float("inf"), -1e-3):
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            fit(blobs, temps=(1.0, 1.0), lam=lam)
+    X = blobs.X.toarray()
+    X[3, 1] = np.nan
+    bad = Dataset(sparse.csr_array(X), blobs.y, blobs.num_classes)
+    with pytest.raises(ValueError, match="feature values must be finite"):
+        fit(bad, temps=(1.0, 1.0), lam=1e-3)
 
 
-def test_make_baseline_runner_fits(blobs):
-    runner = make_baseline("t_lr(1.6)", lam=1e-3)
-    model = runner(blobs)
-    assert model.fitted
-    assert model.temps == TemperaturePair(1.0, 1.6)
-    assert float(np.mean(predict(model, blobs.X) == blobs.y)) > 0.9
+def test_load_rejects_nonfinite_payload(tmp_path, blobs):
+    model = fit(blobs, temps=(1.0, 1.0), lam=1e-3)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    text = path.read_text()
+    weight = repr(float(model.W[0, 1]))
+    for bad, message in (
+        (text.replace(weight, "NaN", 1), "weights must be finite"),
+        (text.replace('"lambda": 0.001', '"lambda": Infinity'), "lambda must be finite"),
+    ):
+        path.write_text(bad)
+        with pytest.raises(ValueError, match=message) as err:
+            load_model(path)
+        assert str(path) in str(err.value)

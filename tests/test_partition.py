@@ -9,11 +9,18 @@ from scipy.special import logsumexp, softmax
 from ttlr.partition import (
     escort,
     log_partition,
-    partition_d1,
-    partition_d2,
+    margin_derivatives,
     tempered_probs,
     tempered_probs_rows,
 )
+
+
+def d1(a, t2):
+    return margin_derivatives(a, t2)[1]
+
+
+def d2(a, t2):
+    return margin_derivatives(a, t2)[2]
 
 
 def test_symmetric_binary_closed_form():
@@ -119,25 +126,25 @@ def test_escort_normalizes():
 
 def test_margin_derivative_oracle_at_one():
     # logistic case: dG/da on the +-a/2 margin curve is tanh(a/2)/2
-    assert partition_d1(np.array([1.0]), 1.0)[0] == pytest.approx(
+    assert d1(np.array([1.0]), 1.0)[0] == pytest.approx(
         math.tanh(0.5) / 2.0, abs=1e-14
     )
-    assert partition_d2(np.array([0.0]), 1.0)[0] == pytest.approx(0.25, abs=1e-14)
+    assert d2(np.array([0.0]), 1.0)[0] == pytest.approx(0.25, abs=1e-14)
 
 
 def test_margin_derivative_symmetry_and_limits():
     a = np.linspace(0.1, 8.0, 25)
     for t2 in (0.6, 1.0, 1.5):
-        d_pos = partition_d1(a, t2)
-        d_neg = partition_d1(-a, t2)
+        d_pos = d1(a, t2)
+        d_neg = d1(-a, t2)
         assert np.allclose(d_pos, -d_neg, atol=1e-11)
         # cool temperatures hit the plateau and pin at exactly 1/2
         assert np.all(np.abs(d_pos) <= 0.5)
         if t2 >= 1.0:
             assert np.all(np.abs(d_pos) < 0.5)
     # saturated margins pin the derivative at exactly half
-    assert partition_d1(np.array([-30.0]), 0.5)[0] == -0.5
-    assert partition_d2(np.array([-30.0]), 0.5)[0] == 0.0
+    assert d1(np.array([-30.0]), 0.5)[0] == -0.5
+    assert d2(np.array([-30.0]), 0.5)[0] == 0.0
 
 
 def test_margin_derivatives_match_finite_differences():
@@ -152,18 +159,18 @@ def test_margin_derivatives_match_finite_differences():
     for t2 in (0.6, 1.0, 1.6):
         for a in (-4.0, -0.7, 0.3, 1.8):
             fd1 = (g_margin(a + h, t2) - g_margin(a - h, t2)) / (2.0 * h)
-            assert partition_d1(np.array([a]), t2)[0] == pytest.approx(fd1, abs=1e-6)
+            assert d1(np.array([a]), t2)[0] == pytest.approx(fd1, abs=1e-6)
             fd2 = (
-                partition_d1(np.array([a + h]), t2)[0]
-                - partition_d1(np.array([a - h]), t2)[0]
+                d1(np.array([a + h]), t2)[0]
+                - d1(np.array([a - h]), t2)[0]
             ) / (2.0 * h)
-            assert partition_d2(np.array([a]), t2)[0] == pytest.approx(fd2, abs=1e-6)
+            assert d2(np.array([a]), t2)[0] == pytest.approx(fd2, abs=1e-6)
 
 
 def test_second_derivative_nonnegative():
     a = np.linspace(-12.0, 12.0, 101)
     for t2 in (0.5, 0.9, 1.0, 1.4, 1.9):
-        assert np.all(partition_d2(a, t2) >= 0.0)
+        assert np.all(d2(a, t2) >= 0.0)
 
 
 def test_rejects_bad_inputs():
@@ -175,3 +182,6 @@ def test_rejects_bad_inputs():
         log_partition(np.array([np.nan, 0.0]), 1.2)
     with pytest.raises(ValueError):
         escort(np.array([0.0, 0.0]), 1.2)
+    # p^t2 underflows to an all-zero vector
+    with pytest.raises(ValueError):
+        escort(np.array([1e-200, 1e-200]), 1.9)
