@@ -22,7 +22,7 @@ from .partition import (
     tempered_probs,
     tempered_probs_rows,
 )
-from .loss import TemperaturePair, batch_losses, regularized_objective
+from .loss import TemperaturePair, activation_terms, batch_losses, regularized_objective
 from .optimizer import OptimizerConfig, OptimizationTrace, lbfgs_minimize
 from .data import (
     DataFormatError,
@@ -89,6 +89,7 @@ __all__ = [
     "tempered_probs",
     "tempered_probs_rows",
     "TemperaturePair",
+    "activation_terms",
     "batch_losses",
     "regularized_objective",
     "OptimizerConfig",

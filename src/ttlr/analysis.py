@@ -1,10 +1,11 @@
 """Numerical loss-shape diagnostics: curvature, inflections, calibration checks.
 
 Works in the binary margin parameterization (activations [a/2, -a/2], label
-c = +1 unless stated). Closed-form first and second derivatives of the loss
-are checked against finite differences in `verify`; here they drive regime
-classification and inflection search, and two oracles verify that minimizing
-the expected loss recovers the class posterior's argmax.
+c = +1 unless stated). The first derivative of the loss is the training
+kernel's activation gradient along that embedding, the second a closed form;
+both are checked against finite differences in `verify`. Here they drive
+regime classification and inflection search, and two oracles verify that
+minimizing the expected loss recovers the class posterior's argmax.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import TemperaturePair, as_pair, batch_losses
+from .loss import TemperaturePair, activation_terms, as_pair, batch_losses
 from .optimizer import OptimizerConfig, lbfgs_minimize
 from .partition import margin_derivatives, tempered_probs_rows
 from .tempered import log_t
@@ -61,12 +62,13 @@ def margin_losses(a, temps, c: int = 1) -> np.ndarray:
 
 
 def loss_first_derivative(a, temps):
-    """d/da of the c=+1 loss: -p^(t2-t1) (1/2 - dG/da); 0 on the plateau."""
-    temps = as_pair(temps)
-    p, d1, _ = margin_derivatives(a, temps.t2)
-    out = np.zeros_like(p)
-    pos = p > 0.0
-    out[pos] = -np.power(p[pos], temps.gap) * (0.5 - d1[pos])
+    """d/da of the c=+1 loss: the training gradient along [1/2, -1/2].
+
+    Equals -p^(t2-t1) (1/2 - dG/da); exactly 0 on the p = 0 plateau.
+    """
+    A = np.atleast_1d(np.asarray(a, dtype=float))[:, None] @ _MARGIN_EMBEDDING
+    _, dA = activation_terms(A, np.ones(A.shape[0], dtype=np.int64), temps)
+    out = (dA @ _MARGIN_EMBEDDING.T)[:, 0]
     return out if np.ndim(a) else float(out[0])
 
 
@@ -158,11 +160,11 @@ def _scan_inflections(temps: TemperaturePair, grid: np.ndarray) -> list:
     return sorted(points)
 
 
-def find_inflection(temps, lo: float, hi: float, grid_points: int = 4001) -> list:
+def find_inflection(temps, lo: float, hi: float) -> list:
     """Inflection margins of the c=+1 loss on [lo, hi] (quasi-convex regimes).
 
-    Grid scan plus bisection; each returned point satisfies the curvature
-    balance equation with residual at most 1e-6. Convex temperature pairs are
+    Scan of a 4001-point grid plus bisection; each returned point (a float)
+    satisfies the curvature balance equation with residual at most 1e-6. Convex temperature pairs are
     rejected: their second derivative never changes sign.
     """
     temps = as_pair(temps)
@@ -171,10 +173,10 @@ def find_inflection(temps, lo: float, hi: float, grid_points: int = 4001) -> lis
             f"(t1, t2) = ({temps.t1}, {temps.t2}) is a convex regime; "
             "there is no inflection to find"
         )
-    if not (lo < hi) or grid_points < 3:
-        raise ValueError("need lo < hi and at least 3 grid points")
-    grid = np.linspace(lo, hi, grid_points)
-    points = _scan_inflections(temps, grid)
+    if not (lo < hi):
+        raise ValueError("need lo < hi")
+    grid = np.linspace(lo, hi, 4001)
+    points = [float(a) for a in _scan_inflections(temps, grid)]
     for a in points:
         resid = abs(inflection_residual(a, temps))
         if resid > INFLECTION_RESIDUAL_TOL:
@@ -264,18 +266,18 @@ def _golden_refine(fun, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def bayes_binary_check(eta: float, temps, bracket=(-50.0, 50.0)) -> BayesCheck:
+def bayes_binary_check(eta: float, temps) -> BayesCheck:
     """Numeric argmin of the expected binary loss against its closed form.
 
-    Coarse grid of 10^4 points (the expected loss can be nearly flat near
-    plateaus), then golden-section refinement to an interval of 1e-8. The
+    Coarse grid of 10^4 points on [-50, 50] (the expected loss can be nearly
+    flat near plateaus), then golden-section refinement to an interval of 1e-8. The
     closed form is log_t2 of the tilted posterior ratio: with z_c =
     eta_c^(1/t1) and Z = z_+ + z_-, a* = log_t2(z_+/Z) - log_t2(z_-/Z).
     """
     temps = as_pair(temps)
     if not (0.0 < eta < 1.0):
         raise ValueError("eta must lie strictly in (0, 1)")
-    grid = np.linspace(bracket[0], bracket[1], 10_000)
+    grid = np.linspace(-50.0, 50.0, 10_000)
     vals = _expected_binary_loss(grid, eta, temps)
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
@@ -296,25 +298,6 @@ def bayes_binary_check(eta: float, temps, bracket=(-50.0, 50.0)) -> BayesCheck:
     return BayesCheck(eta, a_num, float(a_closed), bool(consistent))
 
 
-def _coordinate_descent(objective, v, sweeps: int = 60, span: float = 25.0):
-    """Cyclic 1-d golden-section minimization; each move is bracket-bounded."""
-    for _ in range(sweeps):
-        largest_move = 0.0
-        for j in range(v.size):
-
-            def slice_value(t):
-                trial = v.copy()
-                trial[j] = t
-                return objective(trial)[0]
-
-            new = _golden_refine(slice_value, v[j] - span, v[j] + span, 1e-10)
-            largest_move = max(largest_move, abs(new - v[j]))
-            v[j] = new
-        if largest_move < 1e-9:
-            break
-    return v
-
-
 @dataclass(frozen=True)
 class MulticlassBayesCheck:
     """Constrained minimizer of the expected multiclass loss at posterior p."""
@@ -326,15 +309,16 @@ class MulticlassBayesCheck:
     target: np.ndarray
 
 
-def bayes_multiclass_check(p, temps, grad_tol: float = 1e-10) -> MulticlassBayesCheck:
+def bayes_multiclass_check(p, temps) -> MulticlassBayesCheck:
     """Minimize -sum_c p_c log_t1 probs(a)_c over zero-sum activations.
 
     The zero-sum constraint removes the flat shift direction; the subspace is
     parameterized by the first C-1 coordinates with a_C = -sum(z). For t1 < 1
     the capped loss has flat non-optimal shoulders in activation space (all
     mass on one class), so the search starts in a log-scale chart of the same
-    feasible set (simplex interior via softmax coordinates, uniform start)
-    and the resulting point is polished in activation coordinates. The check
+    feasible set (simplex interior via softmax coordinates, started at p)
+    and the resulting point is polished in activation coordinates to a
+    gradient of 1e-10. The check
     passes when probs(a*) matches the renormalized p^(1/t1) within 1e-4 in
     sup norm and the argmax of a* equals the argmax of p.
     """
@@ -365,14 +349,6 @@ def bayes_multiclass_check(p, temps, grad_tol: float = 1e-10) -> MulticlassBayes
     v0 = (v0 - v0[-1])[:-1]
     chart_config = OptimizerConfig(grad_tol=1e-12, max_iters=2000)
     v_star, _ = lbfgs_minimize(chart_objective, v0, chart_config)
-    value_star, grad_star = chart_objective(v_star)
-    if np.abs(grad_star).max() > 1e-8:
-        # line search overshot into a flat shoulder; redo the search with
-        # bounded per-coordinate moves, which cannot jump across the basin
-        v_alt = _coordinate_descent(chart_objective, v0.copy())
-        v_alt, _ = lbfgs_minimize(chart_objective, v_alt, chart_config)
-        if chart_objective(v_alt)[0] < value_star:
-            v_star = v_alt
     ev = np.exp(np.concatenate([v_star, [0.0]]))
     probs_chart = ev / ev.sum()
     a_chart = log_t(probs_chart, temps.t2)
@@ -395,7 +371,7 @@ def bayes_multiclass_check(p, temps, grad_tol: float = 1e-10) -> MulticlassBayes
         grad_a = -(weights - weights.sum() * q)
         return value, grad_a[:-1] - grad_a[-1]
 
-    config = OptimizerConfig(grad_tol=grad_tol, max_iters=1000)
+    config = OptimizerConfig(grad_tol=1e-10, max_iters=1000)
     z_star, _ = lbfgs_minimize(objective, a_chart[:-1], config)
     a_star = embed(z_star)
     probs_star = tempered_probs_rows(a_star[None, :], temps.t2)[0]

@@ -25,10 +25,10 @@ from .model import FitConfig, fit, load_model, predict, save_model
 from .verify import SUITE_NAMES, format_report, run_verification
 
 
-def _load_dataset(path: str):
+def _load_dataset(path: str, dim: int | None = None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_libsvm(fh)
+            return parse_libsvm(fh, dim=dim)
     except OSError as exc:
         raise SystemExit(f"cannot read {path}: {exc.strerror}") from exc
     except DataFormatError as exc:
@@ -59,26 +59,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    data = _load_dataset(args.data)
-    if data.dim > model.dim:
-        raise SystemExit(
-            f"feature dimension mismatch: model has {model.dim}, data has {data.dim}"
-        )
-    X = data.X
-    if data.dim < model.dim:
-        # narrower file: absent trailing features read as zeros
-        from scipy.sparse import csr_array, hstack
-
-        pad = csr_array((data.n, model.dim - data.dim))
-        X = csr_array(hstack([X, pad]))
-    preds = predict(model, X)
-    if data.num_classes == model.num_classes:
-        labels = [data.label_table[p - 1] for p in preds]
-        accuracy = float(np.mean(preds == data.y))
-        print(f"accuracy {accuracy:.4f} on {data.n} examples", file=sys.stderr)
-    else:
-        # label spaces differ; emit internal 1-based class ids
-        labels = list(preds)
+    data = _load_dataset(args.data, dim=model.dim)
+    labels = np.asarray(model.labels)[predict(model, data.X) - 1]
+    truth = np.asarray(data.label_table)[data.y - 1]
+    accuracy = float(np.mean(labels == truth))
+    print(f"accuracy {accuracy:.4f} on {data.n} examples", file=sys.stderr)
     _write_out("\n".join(format_number(v) for v in labels) + "\n", args.out)
     return 0
 

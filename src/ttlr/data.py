@@ -35,8 +35,8 @@ class DataFormatError(ValueError):
 class Dataset:
     """Sparse feature rows plus 1-based integer class labels.
 
-    label_table[k-1] is the original label value for class k; synthetic
-    datasets use the identity table (1.0, 2.0, ...).
+    label_table[k-1] is the original label value for class k; when none is
+    given (synthetic data) it is the identity table (1.0, 2.0, ...).
     """
 
     X: sparse.csr_array
@@ -51,6 +51,9 @@ class Dataset:
             raise ValueError("feature matrix and label vector disagree on N")
         if y.size and (y.min() < 1 or y.max() > self.num_classes):
             raise ValueError("labels must lie in {1..num_classes}")
+        if not self.label_table:
+            identity = tuple(float(k) for k in range(1, self.num_classes + 1))
+            object.__setattr__(self, "label_table", identity)
 
     @property
     def n(self) -> int:
@@ -188,7 +191,7 @@ def parse_libsvm(stream, dim: int | None = None) -> Dataset:
         dim = max_index
     elif dim < max_index:
         raise DataFormatError(
-            f"explicit dim {dim} is smaller than the largest index {max_index}"
+            f"largest feature index {max_index} exceeds the dimension {dim}"
         )
 
     table = sorted(set(raw_labels))
@@ -202,7 +205,7 @@ def parse_libsvm(stream, dim: int | None = None) -> Dataset:
 
 def serialize_libsvm(data: Dataset) -> str:
     """Inverse of parse_libsvm; labels written via the recorded table."""
-    table = data.label_table or tuple(float(k) for k in range(1, data.num_classes + 1))
+    table = data.label_table
     X = data.X.tocsr()
     out = []
     for i in range(data.n):
@@ -214,8 +217,8 @@ def serialize_libsvm(data: Dataset) -> str:
     return "\n".join(out) + "\n"
 
 
-def synth_gaussians(n_per_class: int, means, cov_scale: float = 1.0, seed: int = 0) -> Dataset:
-    """Isotropic Gaussian blob per class mean; deterministic given seed."""
+def synth_gaussians(n_per_class: int, means, seed: int = 0) -> Dataset:
+    """Unit-covariance Gaussian blob per class mean; deterministic given seed."""
     means = np.asarray(means, dtype=float)
     if means.ndim != 2 or means.shape[0] < 2:
         raise ValueError("means must be a (C >= 2) x d array of class centers")
@@ -225,12 +228,10 @@ def synth_gaussians(n_per_class: int, means, cov_scale: float = 1.0, seed: int =
         raise ValueError("n_per_class must be >= 1")
     c, d = means.shape
     rng = np.random.default_rng(seed)
-    blocks = [
-        means[k] + cov_scale * rng.standard_normal((n_per_class, d)) for k in range(c)
-    ]
+    blocks = [means[k] + rng.standard_normal((n_per_class, d)) for k in range(c)]
     X = sparse.csr_array(np.vstack(blocks))
     y = np.repeat(np.arange(1, c + 1, dtype=np.int64), n_per_class)
-    return Dataset(X, y, num_classes=c, label_table=tuple(float(k) for k in range(1, c + 1)))
+    return Dataset(X, y, num_classes=c)
 
 
 def inject_outlier_noise(data: Dataset, sigma: float, ratio: float, seed: int) -> Dataset:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, NoiseSpec, parse_libsvm, synth_gaussians
+from .data import DataFormatError, Dataset, NoiseSpec, parse_libsvm, synth_gaussians
 from .loss import TemperaturePair
 from .model import FitConfig, TTLRModel, fit, predict
 
@@ -92,7 +92,6 @@ class SyntheticSpec:
     train_per_class: int = 1000
     test_per_class: int = 1000
     mean: tuple = (2.0, 0.0)
-    cov_scale: float = 1.0
 
     def __post_init__(self):
         if self.train_per_class < 1 or self.test_per_class < 1:
@@ -192,12 +191,10 @@ def _rep_datasets(spec: ExperimentSpec, rep: int, full: Dataset | None):
         mean = np.asarray(src.mean, dtype=float)
         means = [mean, -mean]
         train = synth_gaussians(
-            src.train_per_class, means, src.cov_scale,
-            seed=_sub_seed(spec.seed, rep, STREAM_TRAIN),
+            src.train_per_class, means, seed=_sub_seed(spec.seed, rep, STREAM_TRAIN)
         )
         test = synth_gaussians(
-            src.test_per_class, means, src.cov_scale,
-            seed=_sub_seed(spec.seed, rep, STREAM_TEST),
+            src.test_per_class, means, seed=_sub_seed(spec.seed, rep, STREAM_TEST)
         )
         return train, test
     rng = np.random.default_rng(_sub_seed(spec.seed, rep, STREAM_TRAIN))
@@ -237,7 +234,10 @@ def run_experiment(spec: ExperimentSpec) -> list:
     full = None
     if isinstance(spec.data, FileSource):
         with open(spec.data.path, "r", encoding="utf-8") as fh:
-            full = parse_libsvm(fh)
+            try:
+                full = parse_libsvm(fh)
+            except DataFormatError as exc:
+                raise DataFormatError(f"{spec.data.path}: {exc}") from None
     cells = {}
     for rep in range(spec.repetitions):
         train, test = _rep_datasets(spec, rep, full)
@@ -326,7 +326,7 @@ def spec_from_config(config: dict) -> ExperimentSpec:
       methods: list of method strings
       noise: {kind, levels, sigma}
       cv: {folds, lambda_points} or {folds, lambda_grid}
-      data: {train_per_class, test_per_class, mean, cov_scale}
+      data: {train_per_class, test_per_class, mean}
             or {path, split}
       repetitions, seed, time_fits: scalars
     """
@@ -366,14 +366,13 @@ def spec_from_config(config: dict) -> ExperimentSpec:
             raise ValueError(f"unknown data keys: {sorted(data_unknown)}")
         kwargs["data"] = FileSource(path=data["path"], split=float(data.get("split", 0.5)))
     elif data:
-        data_unknown = set(data) - {"train_per_class", "test_per_class", "mean", "cov_scale"}
+        data_unknown = set(data) - {"train_per_class", "test_per_class", "mean"}
         if data_unknown:
             raise ValueError(f"unknown data keys: {sorted(data_unknown)}")
         kwargs["data"] = SyntheticSpec(
             train_per_class=int(data.get("train_per_class", 1000)),
             test_per_class=int(data.get("test_per_class", 1000)),
             mean=tuple(data.get("mean", (2.0, 0.0))),
-            cov_scale=float(data.get("cov_scale", 1.0)),
         )
     for key in ("repetitions", "seed"):
         if key in config:

@@ -22,6 +22,7 @@ from .tempered import log_t, validate_temperature
 
 __all__ = [
     "TemperaturePair",
+    "activation_terms",
     "batch_losses",
     "regularized_objective",
 ]
@@ -70,53 +71,55 @@ def _losses_from_probs(pn: np.ndarray, t1: float) -> np.ndarray:
 def _importance(pn: np.ndarray, gap: float) -> np.ndarray:
     """Importance factor p^gap, evaluated in log space for underflow safety.
 
-    Identically 1 at zero gap. At p = 0 the factor is taken as 0: for gap > 0
-    that is the limit, and for t1 < 1 the loss is flat there (plateau), so the
-    zero gradient is exact either way.
+    At p = 0 the factor is taken as 0: for gap > 0 that is the limit, and for
+    t1 < 1 the loss is flat there (plateau), so the zero gradient is exact
+    either way. Elsewhere it is exactly 1 at zero gap.
     """
-    if gap == 0.0:
-        return np.ones_like(pn)
     out = np.zeros_like(pn)
     pos = pn > 0.0
-    out[pos] = np.exp(gap * np.log(pn[pos]))
+    out[pos] = np.exp(gap * np.log(pn[pos])) if gap else 1.0
     return out
+
+
+def activation_terms(A: np.ndarray, y: np.ndarray, temps):
+    """Per-row losses and their gradient with respect to the activations A.
+
+    Gradient row i is -p^(t2-t1) (e_y - escort(P_i)), p the true-class
+    probability; it is zero where p is exactly 0. The one copy of the
+    surrogate's math: the objective, batch_losses and the binary margin
+    derivative (analysis.loss_first_derivative) are views of it.
+    """
+    temps = as_pair(temps)
+    P = tempered_probs_rows(A, temps.t2)
+    rows = np.arange(A.shape[0])
+    pn = P[rows, y - 1]
+    dA = -escort_rows(P, temps.t2)
+    dA[rows, y - 1] += 1.0
+    dA *= -_importance(pn, temps.gap)[:, None]
+    return _losses_from_probs(pn, temps.t1), dA
 
 
 def batch_losses(X, y: np.ndarray, W: np.ndarray, temps) -> np.ndarray:
     """Per-example losses for a whole feature matrix, in example order."""
-    temps = as_pair(temps)
-    A = np.asarray(X @ W, dtype=float)
-    P = tempered_probs_rows(A, temps.t2)
-    pn = P[np.arange(A.shape[0]), y - 1]
-    return _losses_from_probs(pn, temps.t1)
+    return activation_terms(np.asarray(X @ W, dtype=float), np.asarray(y), temps)[0]
 
 
 def regularized_objective(data, W: np.ndarray, temps, lam: float):
     """Mean surrogate loss plus (lam/2) ||W||_F^2, with its gradient.
 
     The mean runs in example index order (fixed reduction topology), so
-    repeated evaluations are bit-identical. Rows whose true-class probability
-    is exactly 0 contribute +inf to the value under t1 >= 1 and zero to the
-    gradient (the factor limit where defined, the plateau elsewhere); such
-    points only arise on rejected line-search trials.
+    repeated evaluations are bit-identical. A row whose true-class probability
+    is exactly 0 adds the cap 1/(1-t1) to the value under t1 < 1 and +inf
+    otherwise (only ever on rejected line-search trials), and no gradient.
     """
-    temps = as_pair(temps)
-    if lam < 0.0:
-        raise ValueError("lambda must be >= 0")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
     W = np.asarray(W, dtype=float)
     X, y = data.X, np.asarray(data.y)
     n = X.shape[0]
     if n == 0:
         raise ValueError("dataset is empty")
-    A = np.asarray(X @ W, dtype=float)
-    P = tempered_probs_rows(A, temps.t2)
-    rows = np.arange(n)
-    pn = P[rows, y - 1]
-    value = float(np.mean(_losses_from_probs(pn, temps.t1))) + 0.5 * lam * float(
-        np.sum(W * W)
-    )
-    coeff = -escort_rows(P, temps.t2)
-    coeff[rows, y - 1] += 1.0
-    coeff *= -_importance(pn, temps.gap)[:, None]
-    grad = np.asarray(X.T @ coeff, dtype=float) / n + lam * W
+    losses, dA = activation_terms(np.asarray(X @ W, dtype=float), y, temps)
+    value = float(np.mean(losses)) + 0.5 * lam * float(np.sum(W * W))
+    grad = np.asarray(X.T @ dA, dtype=float) / n + lam * W
     return value, grad

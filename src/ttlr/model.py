@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "ttlr-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 # Entrywise standard deviation of the seeded near-zero initial W.
 INIT_STDDEV = 1e-5
@@ -44,6 +44,12 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class TTLRModel:
+    """Fitted weights, one column per class.
+
+    labels[k-1] is the training file's label value for class k, the value
+    predictions stand for outside the package.
+    """
+
     W: np.ndarray
     temps: TemperaturePair
     lam: float
@@ -51,6 +57,7 @@ class TTLRModel:
     dim: int
     fitted: bool = False
     trace: OptimizationTrace | None = None
+    labels: tuple = ()
 
     def predict(self, x):
         return predict(self, x)
@@ -84,7 +91,7 @@ def fit(data, temps, lam: float, config: FitConfig | None = None) -> TTLRModel:
             "all feature values are zero; returning the prior-only zero solution"
         )
         return TTLRModel(
-            np.zeros((d, c)), temps, float(lam), c, d, fitted=True, trace=trace
+            np.zeros((d, c)), temps, float(lam), c, d, True, trace, data.label_table
         )
 
     rng = np.random.default_rng(config.seed)
@@ -96,7 +103,7 @@ def fit(data, temps, lam: float, config: FitConfig | None = None) -> TTLRModel:
 
     flat, trace = lbfgs_minimize(objective, w0.ravel(), config.optimizer)
     return TTLRModel(
-        flat.reshape(d, c), temps, float(lam), c, d, fitted=True, trace=trace
+        flat.reshape(d, c), temps, float(lam), c, d, True, trace, data.label_table
     )
 
 
@@ -135,7 +142,7 @@ def predict_proba(model: TTLRModel, x):
 
 
 def save_model(model: TTLRModel, path) -> None:
-    """Versioned JSON with (dim, num_classes, t1, t2, lambda, row-major W).
+    """Versioned JSON: dim, num_classes, t1, t2, lambda, labels, row-major W.
 
     Floats are written in shortest round-trip form, so load restores W exactly.
     """
@@ -149,6 +156,7 @@ def save_model(model: TTLRModel, path) -> None:
         "t1": model.temps.t1,
         "t2": model.temps.t2,
         "lambda": model.lam,
+        "labels": [float(v) for v in model.labels],
         "weights": [[float(v) for v in row] for row in model.W],
     }
     with open(path, "w") as fh:
@@ -157,25 +165,30 @@ def save_model(model: TTLRModel, path) -> None:
 
 
 def load_model(path) -> TTLRModel:
+    """Read a save_model file; every malformed field is a ValueError naming it."""
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a model file: {path}")
     if payload.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {payload.get('version')!r}")
-    W = np.array(payload["weights"], dtype=float)
-    if W.shape != (payload["dim"], payload["num_classes"]):
-        raise ValueError("weight shape disagrees with the recorded dimensions")
+        raise ValueError(f"{path}: unsupported model version {payload.get('version')!r}")
+    try:
+        dim, num_classes = int(payload["dim"]), int(payload["num_classes"])
+        temps = TemperaturePair(payload["t1"], payload["t2"])
+        lam = float(payload["lambda"])
+        labels = tuple(float(v) for v in payload["labels"])
+        W = np.array(payload["weights"], dtype=float)
+    except KeyError as exc:
+        raise ValueError(f"{path}: model file has no {exc.args[0]!r} field") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed model field: {exc}") from None
+    if W.shape != (dim, num_classes) or len(labels) != num_classes:
+        raise ValueError(f"{path}: weight or label shape disagrees with the recorded dimensions")
     if not np.isfinite(W).all():
         raise ValueError(f"{path}: model weights must be finite")
-    lam = float(payload["lambda"])
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"{path}: lambda must be finite and >= 0, got {lam!r}")
-    return TTLRModel(
-        W,
-        TemperaturePair(payload["t1"], payload["t2"]),
-        lam,
-        int(payload["num_classes"]),
-        int(payload["dim"]),
-        fitted=True,
-    )
+    return TTLRModel(W, temps, lam, num_classes, dim, True, labels=labels)

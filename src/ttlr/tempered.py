@@ -41,52 +41,37 @@ def log_t(x, t: float):
     """Tempered logarithm (x^(1-t) - 1)/(1-t).
 
     Accepts scalars or arrays. x must be > 0, except that x = 0 is admitted
-    for t < 1 and returns the finite lower bound -1/(1-t). Evaluated as
-    expm1((1-t) ln x)/(1-t) so the t -> 1 limit does not cancel catastrophically.
+    for t < 1 and returns the finite lower bound -1/(1-t) (expm1 of ln 0 =
+    -inf is exactly -1). Evaluated as expm1((1-t) ln x)/(1-t) so the t -> 1
+    limit does not cancel catastrophically.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("log_t requires nonnegative input")
     one_minus_t = 1.0 - t
-    if abs(one_minus_t) < T_SWITCH:
-        if np.any(x == 0.0):
-            raise ValueError("log_t(0) diverges for t >= 1")
-        out = np.log(x)
-        return out if out.ndim else float(out)
-    zero = x == 0.0
-    if np.any(zero):
-        if t >= 1.0:
-            raise ValueError("log_t(0) diverges for t >= 1")
-        out = np.where(zero, -1.0 / one_minus_t, 0.0)
-        pos = ~zero
-        out = np.array(out, dtype=float)
-        out[pos] = np.expm1(one_minus_t * np.log(x[pos])) / one_minus_t
-        return out if out.ndim else float(out)
-    out = np.expm1(one_minus_t * np.log(x)) / one_minus_t
+    standard = abs(one_minus_t) < T_SWITCH
+    if (standard or t >= 1.0) and np.any(x == 0.0):
+        raise ValueError("log_t(0) diverges for t >= 1")
+    with np.errstate(divide="ignore"):
+        out = np.log(x) if standard else np.expm1(one_minus_t * np.log(x)) / one_minus_t
     return out if out.ndim else float(out)
 
 
 def exp_t(x, t: float):
     """Tempered exponential [1 + (1-t)x]_+^(1/(1-t)), the inverse of log_t.
 
-    Total on finite inputs: the clamp yields exact 0.0 below the support
-    boundary for t < 1, and +inf at/above the pole x = 1/(t-1) for t > 1.
-    Evaluated as exp(log1p((1-t)x)/(1-t)) for stability near t = 1.
+    Total on finite inputs. Evaluated as exp(log1p((1-t)x)/(1-t)) for
+    stability near t = 1, with (1-t)x clamped at -1: log1p(-1) = -inf then
+    gives exact 0.0 below the support boundary for t < 1, and +inf at/above
+    the pole x = 1/(t-1) for t > 1.
     """
     x = np.asarray(x, dtype=float)
     one_minus_t = 1.0 - t
     if abs(one_minus_t) < T_SWITCH:
         out = np.exp(x)
-        return out if out.ndim else float(out)
-    y = one_minus_t * x
-    clamped = y <= -1.0
-    if np.any(clamped):
-        out = np.where(clamped, 0.0 if t < 1.0 else np.inf, 1.0)
-        out = np.array(out, dtype=float)
-        live = ~clamped
-        out[live] = np.exp(np.log1p(y[live]) / one_minus_t)
-        return out if out.ndim else float(out)
-    out = np.exp(np.log1p(y) / one_minus_t)
+    else:
+        with np.errstate(divide="ignore"):
+            out = np.exp(np.log1p(np.maximum(one_minus_t * x, -1.0)) / one_minus_t)
     return out if out.ndim else float(out)
 
 

@@ -68,6 +68,12 @@ class CheckResult:
     tolerance: float
     detail: str = ""
 
+    def __post_init__(self):
+        # plain Python scalars, whatever numpy type a suite computed them in
+        object.__setattr__(self, "passed", bool(self.passed))
+        object.__setattr__(self, "measured", float(self.measured))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
+
 
 @dataclass(frozen=True)
 class VerificationReport:

@@ -6,10 +6,11 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from ttlr.cli import main
-from ttlr.data import parse_libsvm, serialize_libsvm, synth_gaussians
-from ttlr.model import load_model
+from ttlr.data import Dataset, parse_libsvm, serialize_libsvm, synth_gaussians
+from ttlr.model import load_model, predict
 
 
 @pytest.fixture()
@@ -87,6 +88,73 @@ def test_predict_to_stdout(tmp_path, train_file, capsys):
     out_lines = capsys.readouterr().out.strip().splitlines()
     data = parse_libsvm(train_file.read_text())
     assert len(out_lines) == data.n
+
+
+@pytest.fixture()
+def signed_model(tmp_path):
+    """A model trained on labels -1/+1, and the data it was trained on."""
+    blobs = synth_gaussians(60, [(2.0, 0.0), (-2.0, 0.0)], seed=14)
+    data = Dataset(blobs.X, blobs.y, 2, (-1.0, 1.0))
+    train = tmp_path / "signed.svm"
+    train.write_text(serialize_libsvm(data))
+    model_path = tmp_path / "signed.json"
+    assert main(["train", "--data", str(train), "--out", str(model_path)]) == 0
+    return model_path, data
+
+
+def predict_file(tmp_path, model_path, data, capsys):
+    """Score `data` written to a file; returns (exit code, predictions, stderr)."""
+    scored = tmp_path / "scored.svm"
+    scored.write_text(serialize_libsvm(data))
+    capsys.readouterr()
+    code = main(["predict", "--model", str(model_path), "--data", str(scored)])
+    captured = capsys.readouterr()
+    return code, [float(v) for v in captured.out.split()], captured.err
+
+
+def test_predict_prints_training_labels_on_a_label_subset(tmp_path, signed_model, capsys):
+    # a file holding only the +1 class still prints -1/+1, scored on values
+    model_path, data = signed_model
+    plus = data.subset(np.flatnonzero(data.y == 2))
+    code, preds, err = predict_file(
+        tmp_path, model_path, Dataset(plus.X, np.ones(plus.n), 1, (1.0,)), capsys
+    )
+    assert code == 0
+    assert set(preds) <= {-1.0, 1.0}
+    accuracy = float(np.mean(np.array(preds) == 1.0))
+    assert accuracy > 0.9
+    assert f"accuracy {accuracy:.4f} on {plus.n} examples" in err
+
+
+def test_predict_ignores_foreign_labels_of_the_scored_file(tmp_path, signed_model, capsys):
+    model_path, data = signed_model
+    foreign = Dataset(data.X, data.y, 2, (5.0, 7.0))
+    code, preds, err = predict_file(tmp_path, model_path, foreign, capsys)
+    assert code == 0
+    assert set(preds) <= {-1.0, 1.0}
+    assert "accuracy 0.0000" in err
+
+
+def test_predict_reads_a_narrower_file_as_zero_padded(tmp_path, signed_model, capsys):
+    model_path, data = signed_model
+    first = data.X.toarray()[:, :1]
+    narrow = Dataset(sparse.csr_array(first), data.y, 2, data.label_table)
+    code, preds, _ = predict_file(tmp_path, model_path, narrow, capsys)
+    assert code == 0
+    model = load_model(model_path)
+    padded = np.hstack([first, np.zeros((data.n, 1))])
+    want = np.asarray(model.labels)[predict(model, padded) - 1]
+    assert preds == want.tolist()
+
+
+def test_predict_rejects_a_wider_file(tmp_path, signed_model, capsys):
+    model_path, data = signed_model
+    wide = Dataset(sparse.csr_array(np.ones((data.n, 3))), data.y, 2, data.label_table)
+    code, preds, err = predict_file(tmp_path, model_path, wide, capsys)
+    assert code == 2
+    assert preds == []
+    assert "scored.svm" in err
+    assert "exceeds the dimension 2" in err
 
 
 def test_noise_subcommand_flips_labels(tmp_path, train_file):
@@ -203,6 +271,16 @@ def test_malformed_data_is_reported(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "line 1" in err
+
+
+def test_sweep_names_a_malformed_data_file(tmp_path, capsys):
+    bad = tmp_path / "bad.svm"
+    bad.write_text("1 1:1\n2 oops\n")
+    cfg = sweep_config(tmp_path, data={"path": str(bad)})
+    code = main(["sweep", "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: line 2: expected idx:val" in err
 
 
 def test_bad_config_is_reported(tmp_path, capsys):

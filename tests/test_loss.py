@@ -218,15 +218,38 @@ def test_objective_with_saturated_point():
     assert value == np.inf
     assert np.all(np.isfinite(grad))
     # a row with true-class probability exactly 0 adds a zero gradient row:
-    # for cool t1 the loss plateaus, and a positive gap damps it to zero
-    for temps in ((0.6, 0.7), (0.3, 0.5)):
+    # for cool t1 the loss plateaus, and a positive gap damps it to zero;
+    # at zero gap the plateau alone does it
+    for temps in ((0.6, 0.7), (0.3, 0.5), (0.7, 0.7)):
         assert np.array_equal(one_row_grad([1.0], 1, W, temps), np.zeros((1, 2)))
+
+
+def test_objective_gradient_with_a_plateau_row():
+    # the last row sits deep on the p = 0 plateau, where t1 = t2 < 1 caps
+    # its loss, so it must add nothing to the gradient
+    X = np.array([[1.0, 0.5], [0.3, -1.0], [-0.4, 0.8], [8.0, 1.0]])
+    y = np.array([1, 2, 1, 2])
+    W = np.array([[0.6, -0.4, 0.1], [0.2, 0.3, -0.5]])
+    data = make_dataset(X, y, num_classes=3)
+    h = 1e-6
+    for temps in ((0.7, 0.7), (0.5, 0.5)):
+        _, grad = regularized_objective(data, W, temps, 1e-3)
+        fd = np.zeros_like(W)
+        for idx in np.ndindex(W.shape):
+            step = np.zeros_like(W)
+            step[idx] = h
+            fd[idx] = (
+                regularized_objective(data, W + step, temps, 1e-3)[0]
+                - regularized_objective(data, W - step, temps, 1e-3)[0]
+            ) / (2.0 * h)
+        assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 def test_objective_validates_inputs():
     data = make_dataset(np.ones((2, 1)), [1, 2])
-    with pytest.raises(ValueError):
-        regularized_objective(data, np.zeros((1, 2)), (1.0, 1.0), -0.1)
+    for lam in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            regularized_objective(data, np.zeros((1, 2)), (1.0, 1.0), lam)
 
 
 @settings(max_examples=60, deadline=None)

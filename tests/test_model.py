@@ -1,10 +1,12 @@
 """Model fitting, prediction, persistence, and input validation."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import optimize, sparse
 
-from ttlr.data import Dataset, synth_gaussians
+from ttlr.data import Dataset, inject_outlier_noise, synth_gaussians
 from ttlr.loss import TemperaturePair, regularized_objective
 from ttlr.model import (
     FitConfig,
@@ -98,6 +100,21 @@ def test_multiclass_fit():
     assert P.shape == (10, 3)
 
 
+def test_fit_converges_on_the_zero_gap_plateau():
+    # t1 = t2 < 1: outlier rows land on the p = 0 plateau, where the capped
+    # loss is flat; their gradient must be zero for the line search to work
+    rng = np.random.default_rng(0)
+    chol = np.linalg.cholesky(np.array([[1.0, 0.9], [0.9, 1.0]]))
+    X = np.vstack(
+        [m + rng.standard_normal((100, 2)) @ chol.T for m in ([1.0, 0.0], [-1.0, 0.0])]
+    )
+    data = Dataset(sparse.csr_array(X), np.repeat([1, 2], 100), 2)
+    data = inject_outlier_noise(data, 10.0, 0.3, 0)
+    for temps in ((0.7, 0.7), (0.5, 0.5)):
+        model = fit(data, temps=temps, lam=1e-3)
+        assert model.trace.termination == "converged", temps
+
+
 def test_degenerate_all_zero_features():
     X = sparse.csr_array(np.zeros((6, 3)))
     data = Dataset(X, np.array([1, 1, 1, 2, 2, 2]), num_classes=2)
@@ -119,6 +136,7 @@ def test_save_load_round_trip(tmp_path, blobs):
     assert back.lam == model.lam
     assert back.num_classes == model.num_classes
     assert back.dim == model.dim
+    assert back.labels == model.labels == (1.0, 2.0)
     assert np.array_equal(predict(back, blobs.X), predict(model, blobs.X))
 
 
@@ -140,6 +158,24 @@ def test_load_rejects_foreign_payload(tmp_path):
     path.write_text('{"format": "other", "W": []}')
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def test_load_names_the_file_on_malformed_payloads(tmp_path, blobs):
+    model = fit(blobs, temps=(1.0, 1.0), lam=1e-3)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    for key in ("weights", "labels", "t1"):
+        partial = {k: v for k, v in payload.items() if k != key}
+        path.write_text(json.dumps(partial))
+        with pytest.raises(ValueError, match=f"no '{key}' field") as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+    for text in ("[1, 2]", json.dumps({**payload, "version": 1}), "{"):
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(path) in str(err.value)
 
 
 def test_predict_validates_width(blobs):

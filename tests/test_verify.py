@@ -55,6 +55,16 @@ def test_run_verification_dispatch():
         run_verification("nonsense")
 
 
+def test_reports_hold_plain_python_scalars():
+    for report in (run_verification("recovery"), run_verification("curvature")):
+        for chk in report.checks:
+            assert type(chk.passed) is bool
+            assert type(chk.measured) is float
+            assert type(chk.tolerance) is float
+        # no numpy scalar repr leaks into the printed lines
+        assert "np." not in format_report(report)
+
+
 def test_format_report_lines():
     report = run_verification("recovery")
     text = format_report(report)
