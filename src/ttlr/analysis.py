@@ -198,8 +198,8 @@ class CurvatureReport:
     regime: str
 
 
-def curvature_report(temps, lo: float = -10.0, hi: float = 10.0, grid_points: int = 2001) -> CurvatureReport:
-    """Classify the loss shape on a grid, from loss values alone.
+def curvature_report(temps, lo: float = -10.0, hi: float = 10.0) -> CurvatureReport:
+    """Classify the loss shape on a 2001-point grid, from loss values alone.
 
     The regime is decided numerically: second central differences of the loss
     over every all-finite triple must stay above -1e-8 (after dividing by h^2)
@@ -208,9 +208,9 @@ def curvature_report(temps, lo: float = -10.0, hi: float = 10.0, grid_points: in
     quasi-convexity from the t1 < 1 cap is caught without analytic formulas.
     """
     temps = as_pair(temps)
-    if not (lo < hi) or grid_points < 3:
-        raise ValueError("need lo < hi and at least 3 grid points")
-    grid = np.linspace(lo, hi, grid_points)
+    if not (lo < hi):
+        raise ValueError("need lo < hi")
+    grid = np.linspace(lo, hi, 2001)
     h = grid[1] - grid[0]
     values = margin_losses(grid, temps)
     finite = np.isfinite(values)

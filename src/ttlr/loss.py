@@ -75,9 +75,11 @@ def _importance(pn: np.ndarray, gap: float) -> np.ndarray:
     t1 < 1 the loss is flat there (plateau), so the zero gradient is exact
     either way. Elsewhere it is exactly 1 at zero gap.
     """
+    if not gap:
+        return (pn > 0.0).astype(float)
     out = np.zeros_like(pn)
     pos = pn > 0.0
-    out[pos] = np.exp(gap * np.log(pn[pos])) if gap else 1.0
+    out[pos] = np.exp(gap * np.log(pn[pos]))
     return out
 
 

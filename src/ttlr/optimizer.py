@@ -14,10 +14,12 @@ import numpy as np
 
 __all__ = ["OptimizerConfig", "OptimizationTrace", "lbfgs_minimize"]
 
+_EPS = float(np.finfo(float).eps)
 MEMORY = 10  # (s, y) pairs kept for the two-loop recursion
 ARMIJO_C1 = 1e-4  # sufficient-decrease constant
 BACKTRACK_FACTOR = 0.5  # step shrink per rejected trial
 MAX_BACKTRACKS = 50  # rejected trials before the line search gives up
+STALL_STEPS = 20  # accepted steps improving neither f nor |g|_inf before stopping
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,9 @@ class OptimizationTrace:
     """Per accepted iteration: objective value, gradient sup-norm, step length.
 
     Row 0 records the starting point with step length 0; objective values are
-    non-increasing across rows.
+    non-increasing across rows. `evaluations` counts objective calls and
+    `backtracks` the rejected line-search trials, so evaluations = 1 +
+    iterations + backtracks.
     """
 
     objective_values: list = field(default_factory=list)
@@ -43,6 +47,8 @@ class OptimizationTrace:
     step_lengths: list = field(default_factory=list)
     termination: str = ""
     warnings: list = field(default_factory=list)
+    evaluations: int = 0
+    backtracks: int = 0
 
     @property
     def iterations(self) -> int:
@@ -74,10 +80,13 @@ def _two_loop_direction(grad, s_list, y_list, rho_list):
 def lbfgs_minimize(objective, init, config: OptimizerConfig | None = None):
     """Minimize a value-and-gradient callable from a flat start vector.
 
-    Terminates when the gradient sup-norm drops to grad_tol, after max_iters
-    accepted steps, or when the line search cannot make progress (returning
-    the best point so far, recorded in the trace, not raised). The objective
-    must be finite at init.
+    Terminates when the gradient sup-norm drops to grad_tol ("converged");
+    after STALL_STEPS consecutive accepted steps that neither lower the value
+    by more than eps |f| nor reach a new smallest gradient sup-norm
+    ("no_progress"); after max_iters accepted steps ("max_iterations"); or
+    when the line search cannot make progress ("line_search_failed"). Every
+    stop returns the best point so far, recorded in the trace, not raised.
+    The objective must be finite at init.
     """
     config = config or OptimizerConfig()
     x = np.array(init, dtype=float).ravel()
@@ -86,13 +95,15 @@ def lbfgs_minimize(objective, init, config: OptimizerConfig | None = None):
     if not np.isfinite(f) or not np.isfinite(g).all():
         raise ValueError("objective must be finite at the starting point")
 
-    trace = OptimizationTrace()
-    trace.record(f, np.abs(g).max(), 0.0)
-    if np.abs(g).max() <= config.grad_tol:
+    trace = OptimizationTrace(evaluations=1)
+    gnorm = float(np.abs(g).max())
+    trace.record(f, gnorm, 0.0)
+    if gnorm <= config.grad_tol:
         trace.termination = "converged"
         return x, trace
 
     s_list, y_list, rho_list = [], [], []
+    best_gnorm, stalled = gnorm, 0
     for _ in range(config.max_iters):
         d = _two_loop_direction(g, s_list, y_list, rho_list)
         slope = float(d @ g)
@@ -108,9 +119,11 @@ def lbfgs_minimize(objective, init, config: OptimizerConfig | None = None):
         for _ in range(MAX_BACKTRACKS + 1):
             x_new = x + step * d
             f_new, g_new = objective(x_new)
+            trace.evaluations += 1
             if np.isfinite(f_new) and f_new <= f + ARMIJO_C1 * step * slope:
                 accepted = True
                 break
+            trace.backtracks += 1
             step *= BACKTRACK_FACTOR
         if not accepted:
             trace.termination = "line_search_failed"
@@ -129,11 +142,21 @@ def lbfgs_minimize(objective, init, config: OptimizerConfig | None = None):
                 y_list.pop(0)
                 rho_list.pop(0)
 
+        # Accepted values never rise, so f is the best value seen so far.
+        value_improved = f - f_new > _EPS * abs(f)
         x, f, g = x_new, f_new, g_new
-        trace.record(f, np.abs(g).max(), step)
-        if np.abs(g).max() <= config.grad_tol:
+        gnorm = float(np.abs(g).max())
+        trace.record(f, gnorm, step)
+        if gnorm <= config.grad_tol:
             trace.termination = "converged"
             return x, trace
+        if value_improved or gnorm < best_gnorm:
+            best_gnorm, stalled = min(best_gnorm, gnorm), 0
+        else:
+            stalled += 1
+            if stalled >= STALL_STEPS:
+                trace.termination = "no_progress"
+                return x, trace
 
     trace.termination = "max_iterations"
     return x, trace

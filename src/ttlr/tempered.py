@@ -50,10 +50,15 @@ def log_t(x, t: float):
         raise ValueError("log_t requires nonnegative input")
     one_minus_t = 1.0 - t
     standard = abs(one_minus_t) < T_SWITCH
-    if (standard or t >= 1.0) and np.any(x == 0.0):
-        raise ValueError("log_t(0) diverges for t >= 1")
-    with np.errstate(divide="ignore"):
-        out = np.log(x) if standard else np.expm1(one_minus_t * np.log(x)) / one_minus_t
+    if standard or t >= 1.0:
+        if np.any(x == 0.0):
+            raise ValueError("log_t(0) diverges for t >= 1")
+        log_x = np.log(x)
+    else:
+        # the only branch where a zero reaches np.log
+        with np.errstate(divide="ignore"):
+            log_x = np.log(x)
+    out = log_x if standard else np.expm1(one_minus_t * log_x) / one_minus_t
     return out if out.ndim else float(out)
 
 

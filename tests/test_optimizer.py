@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from ttlr.optimizer import OptimizerConfig, lbfgs_minimize
+from ttlr.optimizer import STALL_STEPS, OptimizerConfig, lbfgs_minimize
 
 
 def quadratic(x):
@@ -22,6 +22,15 @@ def rosenbrock(x):
             2.0 * b * (x[1] - x[0] ** 2),
         ]
     )
+    return float(f), g
+
+
+def barrier(x):
+    # blows up past x = 2, so long steps must be shrunk by the line search
+    if x[0] >= 2.0:
+        return np.inf, np.zeros(1)
+    f = -np.log(2.0 - x[0]) + 0.5 * x[0] ** 2
+    g = np.array([1.0 / (2.0 - x[0]) + x[0]])
     return float(f), g
 
 
@@ -67,6 +76,35 @@ def test_max_iterations_termination():
     assert trace.iterations == 2
 
 
+def test_no_progress_termination():
+    # a tilt of 1e-9 moves the value by 1e-18 per step, below the float
+    # resolution of 1.0, so neither the value nor the gradient ever improves
+    def flat_floor(x):
+        return float(1.0 + 1e-9 * x.sum()), np.full_like(x, 1e-9)
+
+    cfg = OptimizerConfig(max_iters=2000, grad_tol=1e-12)
+    x, trace = lbfgs_minimize(flat_floor, np.zeros(2), cfg)
+    assert trace.termination == "no_progress"
+    assert trace.iterations == STALL_STEPS
+    vals = trace.objective_values
+    assert all(b <= a for a, b in zip(vals, vals[1:]))
+    assert flat_floor(x)[0] == vals[-1]
+
+
+def test_evaluation_and_backtrack_counts():
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return barrier(x)
+
+    _, trace = lbfgs_minimize(counted, np.array([1.9]), OptimizerConfig(grad_tol=1e-10))
+    assert trace.termination == "converged"
+    assert trace.backtracks > 0
+    assert trace.evaluations == len(calls)
+    assert trace.evaluations == 1 + trace.iterations + trace.backtracks
+
+
 def test_rejects_nonfinite_start():
     with pytest.raises(ValueError):
         lbfgs_minimize(quadratic, np.array([np.nan, 0.0]))
@@ -75,14 +113,6 @@ def test_rejects_nonfinite_start():
 
 
 def test_backtracks_through_barrier():
-    # objective blows up past x = 2; the line search must shrink the step
-    def barrier(x):
-        if x[0] >= 2.0:
-            return np.inf, np.zeros(1)
-        f = -np.log(2.0 - x[0]) + 0.5 * x[0] ** 2
-        g = np.array([1.0 / (2.0 - x[0]) + x[0]])
-        return float(f), g
-
     x, trace = lbfgs_minimize(barrier, np.array([0.0]), OptimizerConfig(grad_tol=1e-10))
     assert trace.termination == "converged"
     # stationary point of -log(2-x) + x^2/2
@@ -98,6 +128,7 @@ def test_line_search_failure_returns_best_point():
 
     x, trace = lbfgs_minimize(liar, np.array([1.0]))
     assert trace.termination == "line_search_failed"
+    assert trace.evaluations == 1 + trace.backtracks
     assert np.array_equal(x, np.array([1.0]))
 
 
