@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import escort_rows, tempered_probs_rows
+from .partition import log_partition_rows, row_sum
 from .tempered import log_t, validate_temperature
 
 __all__ = [
@@ -92,10 +92,11 @@ def activation_terms(A: np.ndarray, y: np.ndarray, temps):
     derivative (analysis.loss_first_derivative) are views of it.
     """
     temps = as_pair(temps)
-    P = tempered_probs_rows(A, temps.t2)
+    _, _, _, P, powered = log_partition_rows(A, temps.t2)
     rows = np.arange(A.shape[0])
     pn = P[rows, y - 1]
-    dA = -escort_rows(P, temps.t2)
+    # -escort, built in the powered buffer (which may be P itself at t2 = 1)
+    dA = np.divide(powered, -row_sum(powered)[:, None], out=powered)
     dA[rows, y - 1] += 1.0
     dA *= -_importance(pn, temps.gap)[:, None]
     return _losses_from_probs(pn, temps.t1), dA

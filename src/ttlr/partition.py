@@ -2,21 +2,26 @@
 
 G_t2(a) is the scalar shift making the tempered class probabilities
 exp_t2(a_c - G) sum to one. It has no closed form for t2 != 1 and is found by
-safeguarded Newton root finding on a bracket that always contains the root.
-Also provided: tempered probabilities, escort distributions, and the first and
-second derivatives of G along the binary margin parameterization [a/2, -a/2].
+Halley root finding, with bisection as the safeguard, on a bracket that always
+contains the root. `log_partition_rows` is the one solver: each iteration is
+one pass over the activations that also gives the probabilities P and the
+escort weights P**t2, and it returns those of its last pass alongside G
+(`PartitionRows`), so the loss gradient needs no second pass. Also provided:
+tempered probabilities, escort distributions, and the first and second
+derivatives of G along the binary margin parameterization [a/2, -a/2].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .tempered import T_SWITCH, exp_t, log_t, validate_temperature
+from .tempered import T_SWITCH, log_t, validate_temperature
 
 __all__ = [
     "PartitionResult",
+    "PartitionRows",
     "log_partition",
     "log_partition_rows",
     "tempered_probs",
@@ -28,10 +33,11 @@ __all__ = [
 # Absolute tolerance on the normalization residual |sum_c exp_t2(a_c - G) - 1|.
 RESIDUAL_TOL = 1e-13
 MAX_ITERATIONS = 200
+# Drop converged rows from the pass once at most this share still iterates.
+_COMPACT_BELOW = 0.5
 
 
-@dataclass(frozen=True)
-class PartitionResult:
+class PartitionResult(NamedTuple):
     """Root-finding outcome: normalizer value, achieved residual, iteration count."""
 
     G: float
@@ -48,70 +54,136 @@ def _validate_activations(a) -> np.ndarray:
     return a
 
 
-def log_partition_rows(A: np.ndarray, t2: float):
+class PartitionRows(NamedTuple):
+    """Row-wise normalizer solution and the probabilities of its last pass."""
+
+    G: np.ndarray  # normalizer per row
+    residual: np.ndarray  # |sum_c P - 1| per row
+    iterations: np.ndarray  # Halley or bisection steps per row
+    P: np.ndarray  # tempered probabilities exp_t2(a_c - G)
+    powered: np.ndarray  # P**t2, the unnormalized escort
+
+
+def log_partition_rows(A: np.ndarray, t2: float) -> PartitionRows:
     """Solve the normalizer for every row of A at once.
 
-    Returns (G, residual, iterations) arrays of length N. Rows are pre-shifted
-    by their max so exp_t2 arguments stay in [-inf, 0]; the root is bracketed
-    in [max_c a_c, max_c a_c - log_t2(1/C)] where the residual changes sign.
+    Returns PartitionRows(G, residual, iterations, P, powered), arrays over
+    the N rows: the normalizer, |sum_c P - 1|, the steps taken, and the
+    N x C probabilities P = exp_t2(a - G) and escort weights powered = P**t2,
+    both from the pass at the returned G. Inside |1 - t2| < T_SWITCH, t2 is
+    taken as 1: closed form, zero iterations, and powered is P itself.
+
+    Rows are pre-shifted by their max so exp_t2 arguments stay in [-inf, 0];
+    the root is bracketed in [max_c a_c, max_c a_c - log_t2(1/C)] where the
+    residual f(g) = sum_c exp_t2(b_c - g) - 1 changes sign. One pass gives
+    p = exp_t2(b - g) together with u = 1 + (1-t2)(b - g); on the support
+    p^t2 = p/u, so f' = -sum p/u and f'' = t2 sum p/u^2 cost two divisions.
+    The step is Halley's, g - (f/f')/(1 - f f''/(2 f'^2)), replaced by
+    bisection of the bracket where it is not finite or leaves the bracket.
     Assumes finite input; callers validate.
     """
     validate_temperature(t2)
     A = np.asarray(A, dtype=float)
     n, c = A.shape
-    m = A.max(axis=1)
+    m = _row_max(A)
     B = A - m[:, None]
 
     if abs(1.0 - t2) < T_SWITCH:
         # Closed form: shifted log-sum-exp.
-        g = np.log(np.exp(B).sum(axis=1))
-        res = np.abs(np.exp(B - g[:, None]).sum(axis=1) - 1.0)
-        return g + m, res, np.zeros(n, dtype=np.int64)
+        g = np.log(row_sum(np.exp(B)))
+        P = np.exp(B - g[:, None])
+        res = np.abs(row_sum(P) - 1.0)
+        return PartitionRows(g + m, res, np.zeros(n, dtype=np.int64), P, P)
 
-    lo = np.zeros(n)
-    hi = np.full(n, -log_t(1.0 / c, t2))
-    g = np.zeros(n)
-    f = exp_t(B, t2).sum(axis=1) - 1.0
+    k = 1.0 - t2
+    G = np.empty(n)
     iters = np.zeros(n, dtype=np.int64)
-    active = np.abs(f) > RESIDUAL_TOL
+    # Rows of the pass, B[sel], with their iterate g and bracket [lo, hi].
+    sel, Bs = np.arange(n), B
+    g, lo = np.zeros(n), np.zeros(n)
+    # The upper end is the root itself when all C activations tie; widen it
+    # by a relative 1e-12 so a step landing on that root to within rounding
+    # is not taken for one leaving the bracket.
+    hi = np.full(n, -log_t(1.0 / c, t2) * (1.0 + 1e-12))
     it = 0
-    while active.any() and it < MAX_ITERATIONS:
-        it += 1
-        ga, fa = g[active], f[active]
-        loa, hia = lo[active], hi[active]
-        # Keep the sign-change bracket tight: residual is decreasing in G.
-        loa = np.where(fa > 0.0, np.maximum(loa, ga), loa)
-        hia = np.where(fa < 0.0, np.minimum(hia, ga), hia)
-        p = exp_t(B[active] - ga[:, None], t2)
-        fprime = -np.power(p, t2).sum(axis=1)
-        newton = ga - fa / fprime
-        outside = ~np.isfinite(newton) | (newton < loa) | (newton > hia)
-        step = np.where(outside, 0.5 * (loa + hia), newton)
-        g[active] = step
-        lo[active], hi[active] = loa, hia
-        iters[active] = it
-        f[active] = exp_t(B[active] - step[:, None], t2).sum(axis=1) - 1.0
+    while True:
+        # p = exp_t2(Bs - g), evaluated as tempered.exp_t evaluates it
+        kx = Bs - g[:, None]
+        kx *= k
+        if k > 0.0:
+            # Off the t2 < 1 support (kx <= -1) p is 0: evaluate those entries
+            # at kx = 0 and zero them after, which keeps the slow special
+            # cases log1p(-1) = -inf and exp(-inf) out of the pass.
+            on = kx > -1.0
+            kx *= on
+        u = kx + 1.0
+        p = np.log1p(kx, out=kx)
+        p /= k
+        np.exp(p, out=p)
+        if k > 0.0:
+            p *= on
+        pw = p / u
+        f = row_sum(p) - 1.0
+        if sel.size == n:
+            P, powered, res = p, pw, np.abs(f)
+        else:
+            P[sel], powered[sel], res[sel] = p, pw, np.abs(f)
         active = np.abs(f) > RESIDUAL_TOL
-    if active.any():
-        raise RuntimeError(
-            "normalizer root finding failed to reach tolerance "
-            f"{RESIDUAL_TOL} within {MAX_ITERATIONS} iterations"
-        )
-    return g + m, np.abs(f), iters
+        if not active.any():
+            G[sel] = g
+            return PartitionRows(G + m, res, iters, P, powered)
+        if it == MAX_ITERATIONS:
+            raise RuntimeError(
+                "normalizer root finding failed to reach tolerance "
+                f"{RESIDUAL_TOL} within {MAX_ITERATIONS} iterations"
+            )
+        it += 1
+        fprime = -row_sum(pw)
+        fsecond = t2 * row_sum(np.divide(pw, u, out=u))
+        # g lies in [lo, hi] and the residual decreases in g: tighten the bracket.
+        lo = np.where(f > 0.0, g, lo)
+        hi = np.where(f < 0.0, g, hi)
+        newton = f / fprime
+        step = g - newton / (1.0 - 0.5 * newton * fsecond / fprime)
+        outside = ~np.isfinite(step) | (step < lo) | (step > hi)
+        step = np.where(outside, 0.5 * (lo + hi), step)
+        g = np.where(active, step, g)
+        iters[sel[active]] = it
+        # Converged rows stay in the pass, at their fixed g, until dropping
+        # them saves more than gathering and scattering the rest costs.
+        if active.sum() <= _COMPACT_BELOW * sel.size:
+            G[sel] = g
+            sel, g, lo, hi = sel[active], g[active], lo[active], hi[active]
+            Bs = B.take(sel, axis=0)
+
+
+def row_sum(X: np.ndarray) -> np.ndarray:
+    """Sum over each row of a 2-d array, for the batched paths.
+
+    Unlike X.sum(axis=1) it is fast on short rows, and unlike X @ ones it
+    gives a row the same bits whichever batch the row comes in.
+    """
+    return np.einsum("ij->i", X)
+
+
+def _row_max(A: np.ndarray) -> np.ndarray:
+    """Max over each row, as C column passes: faster than A.max(axis=1) on short rows."""
+    m = A[:, 0].copy()
+    for j in range(1, A.shape[1]):
+        np.maximum(m, A[:, j], out=m)
+    return m
 
 
 def log_partition(a, t2: float) -> PartitionResult:
     """Normalizer G with sum_c exp_t2(a_c - G) = 1 for one activation vector."""
     a = _validate_activations(a)
-    g, res, iters = log_partition_rows(a[None, :], t2)
+    g, res, iters, _, _ = log_partition_rows(a[None, :], t2)
     return PartitionResult(float(g[0]), float(res[0]), int(iters[0]))
 
 
 def tempered_probs_rows(A: np.ndarray, t2: float) -> np.ndarray:
     """Row-wise tempered probabilities exp_t2(a_c - G); assumes finite input."""
-    A = np.asarray(A, dtype=float)
-    g, _, _ = log_partition_rows(A, t2)
-    return exp_t(A - g[:, None], t2)
+    return log_partition_rows(A, t2).P
 
 
 def tempered_probs(a, t2: float) -> np.ndarray:
@@ -144,9 +216,9 @@ def escort(p, t2: float) -> np.ndarray:
 
 
 def escort_rows(P: np.ndarray, t2: float) -> np.ndarray:
-    """Row-wise escort without validation; for the batched objective path."""
+    """Row-wise escort of probability rows P, without validation."""
     powered = np.power(P, t2)
-    return powered / powered.sum(axis=1, keepdims=True)
+    return powered / row_sum(powered)[:, None]
 
 
 def margin_derivatives(a, t2: float):
@@ -160,13 +232,13 @@ def margin_derivatives(a, t2: float):
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     A = np.stack([0.5 * a, -0.5 * a], axis=1)
-    P = tempered_probs_rows(A, t2)
-    powered = np.power(P, t2)
-    S = powered.sum(axis=1)
+    _, _, _, P, powered = log_partition_rows(A, t2)
+    S = row_sum(powered)
     d1 = 0.5 * (powered[:, 0] - powered[:, 1]) / S
+    # P**(2 t2 - 1) = P**t2 * P**(t2 - 1), exactly P at t2 = 1
     weights = np.zeros_like(P)
     pos = P > 0.0
-    weights[pos] = np.power(P[pos], 2.0 * t2 - 1.0)
+    weights[pos] = powered[pos] * (powered[pos] / P[pos])
     c_half = np.array([0.5, -0.5])
-    d2 = t2 * (weights * (c_half[None, :] - d1[:, None]) ** 2).sum(axis=1) / S
+    d2 = t2 * row_sum(weights * (c_half[None, :] - d1[:, None]) ** 2) / S
     return P[:, 0], d1, d2

@@ -52,7 +52,10 @@ def log_t(x, t: float):
     standard = abs(one_minus_t) < T_SWITCH
     if standard or t >= 1.0:
         if np.any(x == 0.0):
-            raise ValueError("log_t(0) diverges for t >= 1")
+            raise ValueError(
+                f"log_t(0) diverges for t >= 1 and for |1 - t| < {T_SWITCH:g}, "
+                "where log_t is computed as ln"
+            )
         log_x = np.log(x)
     else:
         # the only branch where a zero reaches np.log

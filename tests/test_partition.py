@@ -1,18 +1,24 @@
 """Normalization solver, tempered probabilities, and partition derivatives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp, softmax
 
+from ttlr import partition
+from ttlr.loss import activation_terms
 from ttlr.partition import (
+    RESIDUAL_TOL,
     escort,
     log_partition,
+    log_partition_rows,
     margin_derivatives,
     tempered_probs,
     tempered_probs_rows,
 )
+from ttlr.tempered import exp_t, log_t
 
 
 def d1(a, t2):
@@ -185,3 +191,78 @@ def test_rejects_bad_inputs():
     # p^t2 underflows to an all-zero vector
     with pytest.raises(ValueError):
         escort(np.array([1e-200, 1e-200]), 1.9)
+
+
+def test_fused_pass_returns_the_escort_weights():
+    # powered = P / (1 + (1 - t2)(a - G)) on the support equals P**t2
+    rng = np.random.default_rng(23)
+    for t2 in (0.2, 0.5, 0.8, 1.0, 1.3, 1.6, 1.9):
+        for num_classes in (2, 3, 10):
+            a = rng.uniform(-20.0, 20.0, size=(200, num_classes))
+            res = log_partition_rows(a, t2)
+            assert np.max(np.abs(res.powered - np.power(res.P, t2))) <= 1e-15
+            assert np.max(res.residual) <= RESIDUAL_TOL
+
+
+def test_halley_iterations_at_scale():
+    # a large-fit sized batch: Gaussian activations plus the all-tied rows of
+    # a zero weight matrix, whose root is the upper end of the bracket
+    rng = np.random.default_rng(29)
+    a = 3.0 * rng.standard_normal((50000, 10))
+    a[:1000] = 0.0
+    res = log_partition_rows(a, 1.6)
+    assert res.iterations.max() <= 5
+    assert np.max(res.residual) <= RESIDUAL_TOL
+
+
+def _first_halley_step(a, t2):
+    """The unguarded first Halley step on the max-shifted row, from g = 0,
+    and the upper end of the bracket."""
+    b = a - a.max()
+    p = exp_t(b, t2)
+    u = np.maximum(1.0 + (1.0 - t2) * b, np.finfo(float).tiny)
+    f, fprime, fsecond = p.sum() - 1.0, -(p / u).sum(), t2 * (p / u / u).sum()
+    newton = f / fprime
+    return -newton / (1.0 - 0.5 * newton * fsecond / fprime), -log_t(1.0 / a.size, t2)
+
+
+@pytest.mark.parametrize(
+    "t2, a",
+    [
+        # one class sits 1e-8 inside the t2 < 1 support edge: f'' is huge and
+        # the Halley step points backwards
+        (0.2, np.array([1e4, 1e4, 1e4 - 1.25 * (1.0 - 1e-8), -1e4])),
+        # seven near-ties behind the leader: the Halley step overshoots the
+        # upper end of the bracket
+        (1.9, np.array([1e4] + [1e4 - 2.0] * 7 + [-1e4])),
+    ],
+)
+def test_bisection_fallback_keeps_the_residual(t2, a):
+    step, hi = _first_halley_step(a, t2)
+    assert not 0.0 <= step <= hi
+    res = log_partition_rows(a[None, :], t2)
+    assert res.residual[0] <= RESIDUAL_TOL
+    assert res.iterations[0] <= 5
+    assert abs(res.P.sum() - 1.0) <= RESIDUAL_TOL
+
+
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(partition, "MAX_ITERATIONS", 1)
+    a = np.random.default_rng(31).uniform(-5.0, 5.0, size=(50, 4))
+    with pytest.raises(RuntimeError, match="within 1 iterations"):
+        log_partition_rows(a, 1.6)
+
+
+def test_no_floating_point_warnings():
+    # classes off the t2 < 1 support, all-tied rows and +-1e4 activations:
+    # none of them may make the fused pass raise a RuntimeWarning
+    rng = np.random.default_rng(37)
+    a = np.concatenate([rng.uniform(-50.0, 50.0, size=(100, 5)), np.zeros((3, 5))])
+    a[0] = [0.0, -1e4, -1e4, 1e4, 1e4]
+    y = rng.integers(1, 6, size=a.shape[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t2 in (0.01, 0.2, 0.6, 0.9999, 1.0, 1.6, 1.99):
+            log_partition_rows(a, t2)
+            margin_derivatives(np.linspace(-1e4, 1e4, 41), t2)
+            activation_terms(a, y, (0.6, t2))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttlr.tempered import (
+    T_SWITCH,
     exp_t,
     log_t,
     tsallis_divergence,
@@ -66,6 +67,17 @@ def test_log_t_rejects_zero_when_hot():
         log_t(0.0, 1.0)
     with pytest.raises(ValueError):
         log_t(np.array([0.5, 0.0]), 1.3)
+
+
+def test_log_t_zero_at_the_edge_of_the_standard_band():
+    # just outside |1 - t| < T_SWITCH a cool t keeps the finite bound; just
+    # inside, log_t is ln, and the message names that band, not only t >= 1
+    outside = 1.0 - 2.0 * T_SWITCH
+    assert log_t(0.0, outside) == -1.0 / (1.0 - outside)
+    with pytest.raises(ValueError, match=r"\|1 - t\| < 1e-06"):
+        log_t(0.0, 1.0 - 0.5 * T_SWITCH)
+    with pytest.raises(ValueError, match="t >= 1"):
+        log_t(0.0, 1.3)
 
 
 def test_log_t_rejects_negative_input():

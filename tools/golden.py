@@ -145,8 +145,9 @@ def diff(old: dict, new: dict) -> list[str]:
             lines += [f"  {' '.join(ra[:4])}: lambda {ra[4]} -> {rb[4]}, accuracy {ra[5]} -> {rb[5]}"
                       for ra, rb in moved]
         elif key.startswith("train"):
-            lines.append(f"{key}: max |dW| = {_max_abs_diff(a['weights'], b['weights']):.3e}; "
-                         f"stdout {a['stdout']!r} -> {b['stdout']!r}")
+            lines.append(f"{key}: max |dW| = {_max_abs_diff(a['weights'], b['weights']):.3e}")
+            if a["stdout"] != b["stdout"]:
+                lines.append(f"  - {a['stdout']}\n  + {b['stdout']}")
         elif key.startswith("predict"):
             moved = sum(u != v for u, v in zip(a["labels"], b["labels"]))
             lines.append(f"{key}: {moved} of {len(a['labels'])} predictions changed")
