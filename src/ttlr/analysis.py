@@ -5,7 +5,8 @@ c = +1 unless stated). The first derivative of the loss is the training
 kernel's activation gradient along that embedding, the second a closed form;
 both are checked against finite differences in `verify`. Here they drive
 regime classification and inflection search, and two oracles verify that
-minimizing the expected loss recovers the class posterior's argmax.
+minimizing the expected loss recovers the class posterior's argmax. The
+multiclass oracle polishes on the p-weighted training kernel itself.
 """
 
 from __future__ import annotations
@@ -72,91 +73,85 @@ def loss_first_derivative(a, temps):
     return out if np.ndim(a) else float(out[0])
 
 
+def _curvature_balance(a, temps: TemperaturePair):
+    """Class +1 probability p and the balance d2G - (t2-t1) p^(t2-1) (1/2 - dG)^2.
+
+    The c=+1 loss has second derivative p^(t2-t1) times the balance, so its
+    zeros are the inflections. An exactly-zero probability contributes no gap
+    term (the same skip convention as every other escort-power sum); d2G is 0
+    there too, so the balance is exactly 0 on the p = 0 plateau.
+    """
+    p, d1, d2 = margin_derivatives(a, temps.t2)
+    gap_term = np.zeros_like(p)
+    pos = p > 0.0
+    gap_term[pos] = temps.gap * np.power(p[pos], temps.t2 - 1.0) * (0.5 - d1[pos]) ** 2
+    return p, d2 - gap_term
+
+
 def loss_second_derivative(a, temps):
     """d2/da2 of the c=+1 loss: p^(t2-t1) [d2G - (t2-t1) p^(t2-1) (1/2 - dG)^2].
 
     Returns exactly 0 inside the p = 0 plateau, where the loss is constant.
     """
     temps = as_pair(temps)
-    p, d1, d2 = margin_derivatives(a, temps.t2)
+    p, balance = _curvature_balance(a, temps)
     out = np.zeros_like(p)
     pos = p > 0.0
-    pp = p[pos]
-    out[pos] = np.power(pp, temps.gap) * (
-        d2[pos] - temps.gap * np.power(pp, temps.t2 - 1.0) * (0.5 - d1[pos]) ** 2
-    )
+    out[pos] = np.power(p[pos], temps.gap) * balance[pos]
     return out if np.ndim(a) else float(out[0])
 
 
 def inflection_residual(a: float, temps) -> float:
-    """Residual of d2G = (t2-t1) p^(t2-1) (1/2 - dG)^2 at a point.
+    """Residual of d2G = (t2-t1) p^(t2-1) (1/2 - dG)^2 at a point; 0 on the plateau."""
+    return float(_curvature_balance(a, as_pair(temps))[1][0])
 
-    An exactly-zero probability contributes zero (the same skip convention as
-    every other escort-power sum), making the residual 0 at plateau boundaries.
+
+def _bisect(holds, lo: float, hi: float) -> float:
+    """Last point found where `holds` is true, bisecting from lo (true) to hi (false).
+
+    Stops once the bracket is narrower than 1e-13; lo may lie on either side.
     """
-    temps = as_pair(temps)
-    p, d1, d2 = margin_derivatives(np.array([a]), temps.t2)
-    p, d1, d2 = float(p[0]), float(d1[0]), float(d2[0])
-    term = 0.0 if p == 0.0 else temps.gap * p ** (temps.t2 - 1.0) * (0.5 - d1) ** 2
-    return d2 - term
-
-
-def _bisect_sign_change(temps, lo: float, hi: float) -> float:
-    """Root of the second derivative inside a bracket with opposite signs."""
-    flo = loss_second_derivative(lo, temps)
     for _ in range(200):
+        if abs(hi - lo) < 1e-13:
+            break
         mid = 0.5 * (lo + hi)
-        fm = loss_second_derivative(mid, temps)
-        if fm == 0.0 or (hi - lo) < 1e-13:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
+        if holds(mid):
+            lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _bisect_plateau_boundary(temps, zero_side: float, live_side: float) -> float:
-    """Margin where the p = 0 plateau ends; returns the zero-side endpoint."""
-
-    def saturated(a):
-        p, _, _ = margin_derivatives(np.array([a]), temps.t2)
-        return p[0] == 0.0
-
-    for _ in range(200):
-        mid = 0.5 * (zero_side + live_side)
-        if abs(live_side - zero_side) < 1e-13:
-            break
-        if saturated(mid):
-            zero_side = mid
-        else:
-            live_side = mid
-    return zero_side
+    return lo
 
 
 def _scan_inflections(temps: TemperaturePair, grid: np.ndarray) -> list:
     """All margins where the second derivative crosses zero on the grid.
 
-    A strict +/- sign flip is bisected to its root. The boundary where the
-    loss enters the exactly-zero plateau counts as a crossing only when the
-    finite side is strictly positive ("sign change into the plateau").
+    A strict +/- sign flip of the balance is bisected to its root. The
+    boundary where the loss enters the exactly-zero plateau counts as a
+    crossing only when the finite side is strictly positive ("sign change
+    into the plateau"); it is returned on the plateau side.
     """
-    d2 = loss_second_derivative(grid, temps)
-    p, _, _ = margin_derivatives(grid, temps.t2)
-    onplateau = p == 0.0
+    p, balance = _curvature_balance(grid, temps)
+
+    def convex_at(a):
+        return bool(_curvature_balance(a, temps)[1][0] > 0.0)
+
+    def saturated(a):
+        return bool(_curvature_balance(a, temps)[0][0] == 0.0)
+
     points = []
     for i in range(len(grid) - 1):
         a0, a1 = grid[i], grid[i + 1]
-        z0, z1 = onplateau[i], onplateau[i + 1]
+        z0, z1 = p[i] == 0.0, p[i + 1] == 0.0
         if not z0 and not z1:
-            s0, s1 = d2[i], d2[i + 1]
-            if (s0 > 0.0 and s1 < 0.0) or (s0 < 0.0 and s1 > 0.0):
-                points.append(_bisect_sign_change(temps, a0, a1))
+            s0, s1 = balance[i], balance[i + 1]
+            if s0 > 0.0 and s1 < 0.0:
+                points.append(_bisect(convex_at, a0, a1))
+            elif s0 < 0.0 and s1 > 0.0:
+                points.append(_bisect(convex_at, a1, a0))
         elif z0 != z1:
-            live = d2[i + 1] if z0 else d2[i]
-            if live > 0.0:
-                zero_side, live_side = (a0, a1) if z0 else (a1, a0)
-                points.append(_bisect_plateau_boundary(temps, zero_side, live_side))
+            zero_side, live_side = (a0, a1) if z0 else (a1, a0)
+            if balance[i + 1 if z0 else i] > 0.0:
+                points.append(_bisect(saturated, zero_side, live_side))
     return sorted(points)
 
 
@@ -164,8 +159,8 @@ def find_inflection(temps, lo: float, hi: float) -> list:
     """Inflection margins of the c=+1 loss on [lo, hi] (quasi-convex regimes).
 
     Scan of a 4001-point grid plus bisection; each returned point (a float)
-    satisfies the curvature balance equation with residual at most 1e-6. Convex temperature pairs are
-    rejected: their second derivative never changes sign.
+    satisfies the curvature balance equation with residual at most 1e-6.
+    Convex temperature pairs are rejected: their curvature never changes sign.
     """
     temps = as_pair(temps)
     if is_convex_pair(temps):
@@ -318,9 +313,10 @@ def bayes_multiclass_check(p, temps) -> MulticlassBayesCheck:
     mass on one class), so the search starts in a log-scale chart of the same
     feasible set (simplex interior via softmax coordinates, started at p)
     and the resulting point is polished in activation coordinates to a
-    gradient of 1e-10. The check
-    passes when probs(a*) matches the renormalized p^(1/t1) within 1e-4 in
-    sup norm and the argmax of a* equals the argmax of p.
+    gradient of 1e-10 on the training kernel `activation_terms`, weighted by
+    p; the chart objective is its t2 = 1 case, written out for speed. The
+    check passes when probs(a*) matches the renormalized p^(1/t1) within 1e-4
+    in sup norm and the argmax of a* equals the argmax of p.
     """
     temps = as_pair(temps)
     p = np.asarray(p, dtype=float)
@@ -334,7 +330,11 @@ def bayes_multiclass_check(p, temps) -> MulticlassBayesCheck:
 
     def chart_objective(v):
         # expected loss as a function of the induced probabilities; the
-        # temperatures' activation map does not change the feasible set
+        # temperatures' activation map does not change the feasible set.
+        # This is the polish objective at t2 = 1, written out because the
+        # kernel route measured about 2x slower per evaluation, and 6 more
+        # of the 113 criterion-7 chart searches then ended no_progress after
+        # hundreds of evaluations.
         ev = np.exp(np.concatenate([v, [0.0]]))
         probs = ev / ev.sum()
         value = float(-(p * log_t(probs, temps.t1)).sum())
@@ -357,19 +357,14 @@ def bayes_multiclass_check(p, temps) -> MulticlassBayesCheck:
     def embed(z):
         return np.concatenate([z, [-z.sum()]])
 
+    labels = np.arange(1, c + 1)
+
     def objective(z):
-        a = embed(z)
-        probs = tempered_probs_rows(a[None, :], temps.t2)[0]
-        if np.any(probs == 0.0) and temps.t1 >= 1.0:
-            return np.inf, np.zeros(c - 1)
-        value = float(-(p * log_t(probs, temps.t1)).sum())
-        weights = np.zeros(c)
-        live = probs > 0.0
-        weights[live] = p[live] * np.power(probs[live], temps.gap)
-        powered = np.power(probs, temps.t2)
-        q = powered / powered.sum()
-        grad_a = -(weights - weights.sum() * q)
-        return value, grad_a[:-1] - grad_a[-1]
+        # one activation row per class; the kernel's +inf loss at a zero
+        # probability under t1 >= 1 makes the line search reject the trial
+        losses, dA = activation_terms(np.tile(embed(z), (c, 1)), labels, temps)
+        grad_a = p @ dA
+        return float(p @ losses), grad_a[:-1] - grad_a[-1]
 
     config = OptimizerConfig(grad_tol=1e-10, max_iters=1000)
     z_star, _ = lbfgs_minimize(objective, a_chart[:-1], config)

@@ -9,6 +9,8 @@ so any cell of a sweep is reproducible in isolation.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 import time
@@ -207,6 +209,9 @@ def _rep_datasets(spec: ExperimentSpec, rep: int, full: Dataset | None):
 
 def select_lambda(train: Dataset, temps, cv: CrossValSpec, cv_seed: int, init_seed: int) -> float:
     """Mean validation accuracy over k folds; ties resolve to the larger lambda."""
+    if cv.folds > train.n:
+        raise ValueError(f"{cv.folds}-fold cross-validation needs at least {cv.folds} "
+                         f"training rows, got {train.n}")
     rng = np.random.default_rng(cv_seed)
     folds = np.array_split(rng.permutation(train.n), cv.folds)
     config = FitConfig(seed=init_seed)
@@ -273,13 +278,18 @@ def _num(v: float) -> str:
 
 
 def rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
+    """The rows under CSV_HEADER, in CSV quoting.
+
+    A field that holds a comma, such as the method ttlr(0.6,1.6), is
+    double-quoted; every other field is written bare.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
     for r in rows:
-        lines.append(
-            f"{r.method},{r.noise_kind},{_num(r.noise_level)},{r.rep},"
-            f"{_num(r.lam)},{_num(r.accuracy)},{_num(r.seconds)}"
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow([r.method, r.noise_kind, _num(r.noise_level), r.rep,
+                         _num(r.lam), _num(r.accuracy), _num(r.seconds)])
+    return out.getvalue()
 
 
 def rows_to_json(rows) -> str:
@@ -338,7 +348,13 @@ def spec_from_config(config: dict) -> ExperimentSpec:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "methods" not in config:
         raise ValueError("config needs a 'methods' list")
-    kwargs = {"methods": tuple(config["methods"])}
+    methods = config["methods"]
+    if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
+        raise ValueError(f"config 'methods' must be a list of strings, got {methods!r}")
+    for key in ("noise", "cv", "data"):
+        if not isinstance(config.get(key, {}), dict):
+            raise ValueError(f"config '{key}' must be a JSON object, got {config[key]!r}")
+    kwargs = {"methods": tuple(methods)}
     noise = config.get("noise", {})
     if noise:
         noise_unknown = set(noise) - {"kind", "levels", "sigma"}

@@ -239,10 +239,13 @@ def test_bayes_multiclass_tilted_target():
 
 
 def test_bayes_multiclass_handles_skewed_posteriors():
-    for p in ([0.998, 0.001, 0.001], [0.85, 0.1, 0.03, 0.02], [0.4, 0.35, 0.25]):
-        chk = bayes_multiclass_check(np.array(p), TemperaturePair(0.6, 1.6))
-        assert chk.ok, p
-        assert chk.argmax_preserved, p
+    # (1.3, 0.7) and (1.6, 0.4) polish at t2 < 1, where the normalizer's
+    # support is clamped and the kernel's t1 >= 1 loss is +inf off it
+    for temps in ((0.6, 1.6), (1.3, 0.7), (1.6, 0.4)):
+        for p in ([0.998, 0.001, 0.001], [0.85, 0.1, 0.03, 0.02], [0.4, 0.35, 0.25]):
+            chk = bayes_multiclass_check(np.array(p), TemperaturePair(*temps))
+            assert chk.ok, (temps, p)
+            assert chk.argmax_preserved, (temps, p)
 
 
 def test_bayes_multiclass_chart_search_stops_at_its_float_floor(monkeypatch):

@@ -1,5 +1,6 @@
 """Noise-robustness sweep harness: seeding, CV, row layout, serialization."""
 
+import csv
 import json
 import math
 
@@ -155,6 +156,19 @@ def test_select_lambda_is_deterministic():
     )
 
 
+def test_select_lambda_rejects_fewer_rows_than_folds(monkeypatch):
+    import ttlr.experiment as experiment
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit called before the fold count was checked")
+
+    monkeypatch.setattr(experiment, "fit", no_fit)
+    train = synth_gaussians(1, [(2.0, 0.0), (-2.0, 0.0)], seed=9)
+    cv = CrossValSpec(folds=5, lambda_grid=(1e-3,))
+    with pytest.raises(ValueError, match="5-fold .* got 2"):
+        select_lambda(train, TemperaturePair(1.0, 1.0), cv, cv_seed=1, init_seed=2)
+
+
 def test_rows_to_csv_layout():
     rows = run_experiment(tiny_spec(repetitions=1))
     text = rows_to_csv(rows)
@@ -170,6 +184,13 @@ def test_rows_to_csv_layout():
     acc = float(first[5])
     assert 0.0 <= acc <= 1.0
     assert first[6] == "0.0"
+    # a method name holding a comma is quoted, so a CSV reader sees 7 fields
+    parsed = list(csv.reader(text.splitlines()))
+    tempered = [f for f in parsed[1:] if f[0].startswith("ttlr(")]
+    assert tempered
+    assert all(len(f) == 7 for f in parsed)
+    assert tempered[0][0] == "ttlr(0.6,1.6)"
+    assert '"ttlr(0.6,1.6)",outlier,' in text
 
 
 def test_rows_to_json_round_trip():
@@ -257,6 +278,14 @@ def test_spec_from_config_rejects_unknown_keys():
         spec_from_config({})
     with pytest.raises(ValueError):
         spec_from_config({"methods": ["plain_lr"], "cv": {"lambda_points": 3, "lambda_grid": [1.0]}})
+    # wrongly typed sections name their key instead of failing per character
+    with pytest.raises(ValueError, match="'methods' must be a list of strings"):
+        spec_from_config({"methods": "plain_lr"})
+    with pytest.raises(ValueError, match="'methods' must be a list of strings"):
+        spec_from_config({"methods": ["plain_lr", 1.6]})
+    for key in ("noise", "cv", "data"):
+        with pytest.raises(ValueError, match=f"'{key}' must be a JSON object"):
+            spec_from_config({"methods": ["plain_lr"], key: "x.svm"})
 
 
 @pytest.mark.xfail(

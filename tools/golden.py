@@ -15,6 +15,7 @@ so the manifest records what a change moved; it is not a test gate.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -56,8 +57,7 @@ def _cli_artifacts(tmp: Path) -> dict:
     cfg.write_text(json.dumps(SWEEP_CONFIG))
     _python(["-m", "ttlr", "sweep", "--config", str(cfg), "--out", str(tmp / "rows.csv")], tmp)
     rows = (tmp / "rows.csv").read_text()
-    # method names such as ttlr(0.6,1.6) hold an unquoted comma: split the other six fields off
-    out = {"sweep": {"sha256": _sha(rows), "rows": [r.rsplit(",", 6) for r in rows.splitlines()]}}
+    out = {"sweep": {"sha256": _sha(rows), "rows": list(csv.reader(rows.splitlines()))}}
 
     train, test = tmp / "train.libsvm", tmp / "test.libsvm"
     train.write_text(serialize_libsvm(synth_gaussians(150, CLASS_MEANS, seed=11)))
