@@ -1,9 +1,10 @@
 """Dataset ingestion, synthetic generation, and the noise injectors.
 
-Feature rows live in a CSR sparse matrix; labels are 1-based class indices
-with a recorded table mapping them back to the original label values of the
-source file. All noise injectors are deterministic given their seed and never
-change the number of examples or the feature dimension.
+Feature rows live in an ndarray when every entry is stored and in a CSR sparse
+matrix otherwise; labels are 1-based class indices with a recorded table
+mapping them back to the original label values of the source file. All noise
+injectors are deterministic given their seed and never change the number of
+examples or the feature dimension.
 """
 
 from __future__ import annotations
@@ -33,18 +34,26 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Sparse feature rows plus 1-based integer class labels.
+    """Feature rows plus 1-based integer class labels.
 
+    X is a 2-D float ndarray when every entry is stored (dense input, or CSR
+    with nnz == n * dim) and a CSR array otherwise; callers never choose.
     label_table[k-1] is the original label value for class k; when none is
     given (synthetic data) it is the identity table (1.0, 2.0, ...).
     """
 
-    X: sparse.csr_array
+    X: np.ndarray | sparse.csr_array
     y: np.ndarray
     num_classes: int
     label_table: tuple = ()
 
     def __post_init__(self):
+        X = sparse.csr_array(self.X) if sparse.issparse(self.X) else np.asarray(self.X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"Dataset X must be a 2-D feature matrix, got shape {X.shape}")
+        if sparse.issparse(X) and X.nnz == X.shape[0] * X.shape[1]:
+            X = X.toarray()
+        object.__setattr__(self, "X", X)
         y = np.asarray(self.y, dtype=np.int64)
         object.__setattr__(self, "y", y)
         if self.X.shape[0] != y.shape[0]:
@@ -206,7 +215,7 @@ def parse_libsvm(stream, dim: int | None = None) -> Dataset:
 def serialize_libsvm(data: Dataset) -> str:
     """Inverse of parse_libsvm; labels written via the recorded table."""
     table = data.label_table
-    X = data.X.tocsr()
+    X = sparse.csr_array(data.X)
     out = []
     for i in range(data.n):
         start, end = X.indptr[i], X.indptr[i + 1]
@@ -229,7 +238,7 @@ def synth_gaussians(n_per_class: int, means, seed: int = 0) -> Dataset:
     c, d = means.shape
     rng = np.random.default_rng(seed)
     blocks = [means[k] + rng.standard_normal((n_per_class, d)) for k in range(c)]
-    X = sparse.csr_array(np.vstack(blocks))
+    X = np.vstack(blocks)
     y = np.repeat(np.arange(1, c + 1, dtype=np.int64), n_per_class)
     return Dataset(X, y, num_classes=c)
 
@@ -250,9 +259,9 @@ def inject_outlier_noise(data: Dataset, sigma: float, ratio: float, seed: int) -
     rng = np.random.default_rng(seed)
     chosen = rng.choice(data.n, size=k, replace=False)
     noise = rng.normal(0.0, sigma, size=(k, data.dim))
-    X = data.X.tolil(copy=True)
-    X[chosen] = data.X[chosen].toarray() + noise
-    return Dataset(X.tocsr(), data.y, data.num_classes, data.label_table)
+    X = data.X.tolil(copy=True) if sparse.issparse(data.X) else data.X.copy()
+    X[chosen] = data.X[chosen] + noise
+    return Dataset(X, data.y, data.num_classes, data.label_table)
 
 
 def inject_random_flip(data: Dataset, prob: float, seed: int) -> Dataset:

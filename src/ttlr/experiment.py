@@ -329,6 +329,21 @@ def summarize(rows) -> str:
     return "\n".join(lines)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(table: dict, path: str, default, many: bool = False):
+    """The number (with many, the list of numbers as a tuple) at path's last key."""
+    value = table.get(path.rpartition(".")[2], default)
+    if many and isinstance(value, list) and all(map(_is_number, value)):
+        return tuple(value)
+    if not many and _is_number(value):
+        return value
+    kind = "a list of numbers" if many else "a number"
+    raise ValueError(f"config '{path}' must be {kind}, got {value!r}")
+
+
 def spec_from_config(config: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from a parsed JSON config dictionary.
 
@@ -361,9 +376,9 @@ def spec_from_config(config: dict) -> ExperimentSpec:
         if noise_unknown:
             raise ValueError(f"unknown noise keys: {sorted(noise_unknown)}")
         kwargs["noise_kind"] = noise.get("kind", "outlier")
-        kwargs["noise_levels"] = tuple(noise.get("levels", (0.0,)))
+        kwargs["noise_levels"] = _numbers(noise, "noise.levels", [0.0], many=True)
         if "sigma" in noise:
-            kwargs["noise_sigma"] = float(noise["sigma"])
+            kwargs["noise_sigma"] = float(_numbers(noise, "noise.sigma", None))
     cv = config.get("cv", {})
     if cv:
         cv_unknown = set(cv) - {"folds", "lambda_grid", "lambda_points"}
@@ -373,26 +388,29 @@ def spec_from_config(config: dict) -> ExperimentSpec:
         if grid is not None and "lambda_points" in cv:
             raise ValueError("give either lambda_grid or lambda_points, not both")
         if grid is None:
-            grid = default_lambda_grid(int(cv.get("lambda_points", 13)))
-        kwargs["cv"] = CrossValSpec(folds=int(cv.get("folds", 5)), lambda_grid=tuple(grid))
+            grid = default_lambda_grid(int(_numbers(cv, "cv.lambda_points", 13)))
+        else:
+            grid = _numbers(cv, "cv.lambda_grid", None, many=True)
+        kwargs["cv"] = CrossValSpec(int(_numbers(cv, "cv.folds", 5)), grid)
     data = config.get("data", {})
     if "path" in data:
         data_unknown = set(data) - {"path", "split"}
         if data_unknown:
             raise ValueError(f"unknown data keys: {sorted(data_unknown)}")
-        kwargs["data"] = FileSource(path=data["path"], split=float(data.get("split", 0.5)))
+        split = float(_numbers(data, "data.split", 0.5))
+        kwargs["data"] = FileSource(path=data["path"], split=split)
     elif data:
         data_unknown = set(data) - {"train_per_class", "test_per_class", "mean"}
         if data_unknown:
             raise ValueError(f"unknown data keys: {sorted(data_unknown)}")
         kwargs["data"] = SyntheticSpec(
-            train_per_class=int(data.get("train_per_class", 1000)),
-            test_per_class=int(data.get("test_per_class", 1000)),
-            mean=tuple(data.get("mean", (2.0, 0.0))),
+            train_per_class=int(_numbers(data, "data.train_per_class", 1000)),
+            test_per_class=int(_numbers(data, "data.test_per_class", 1000)),
+            mean=_numbers(data, "data.mean", [2.0, 0.0], many=True),
         )
     for key in ("repetitions", "seed"):
         if key in config:
-            kwargs[key] = int(config[key])
+            kwargs[key] = int(_numbers(config, key, None))
     if "time_fits" in config:
         kwargs["time_fits"] = bool(config["time_fits"])
     return ExperimentSpec(**kwargs)

@@ -81,11 +81,12 @@ def fit(data, temps, lam: float, config: FitConfig | None = None) -> TTLRModel:
         raise ValueError("dataset is empty")
     if data.num_classes < 2:
         raise ValueError("at least 2 classes are required")
-    if not np.isfinite(data.X.data).all():
+    values = _stored_values(data.X)
+    if not np.isfinite(values).all():
         raise ValueError("feature values must be finite")
     d, c = data.dim, data.num_classes
 
-    if data.X.nnz == 0:
+    if not values.any():
         trace = OptimizationTrace(termination="degenerate_data")
         trace.warnings.append(
             "all feature values are zero; returning the prior-only zero solution"
@@ -107,6 +108,11 @@ def fit(data, temps, lam: float, config: FitConfig | None = None) -> TTLRModel:
     )
 
 
+def _stored_values(X) -> np.ndarray:
+    """The stored entries of a feature matrix: X.data for CSR, X itself if dense."""
+    return X.data if sparse.issparse(X) else X
+
+
 def _activations(model: TTLRModel, x) -> np.ndarray:
     if not sparse.issparse(x):
         x = np.asarray(x, dtype=float)
@@ -114,7 +120,7 @@ def _activations(model: TTLRModel, x) -> np.ndarray:
         raise ValueError(
             f"input dimension {x.shape[-1]} does not match the model dimension {model.dim}"
         )
-    if not np.isfinite(x.data if sparse.issparse(x) else x).all():
+    if not np.isfinite(_stored_values(x)).all():
         raise ValueError("input feature values must be finite")
     a = np.asarray(x @ model.W, dtype=float)
     return a[None, :] if a.ndim == 1 else a

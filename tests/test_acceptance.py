@@ -216,7 +216,7 @@ def test_criterion_08_margin_flip_fidelity():
     # decile comparison over 200 seeds; margins ranked by the oriented
     # class-mean direction (class 1 carries sign -1)
     w = np.array([-4.0, 0.0])
-    u = data.signed_labels() * (data.X.toarray() @ w)
+    u = data.signed_labels() * (sparse.csr_array(data.X).toarray() @ w)
     order = np.argsort(u)
     n10 = data.n // 10
     bottom, top = order[:n10], order[-n10:]

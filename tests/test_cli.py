@@ -137,7 +137,7 @@ def test_predict_ignores_foreign_labels_of_the_scored_file(tmp_path, signed_mode
 
 def test_predict_reads_a_narrower_file_as_zero_padded(tmp_path, signed_model, capsys):
     model_path, data = signed_model
-    first = data.X.toarray()[:, :1]
+    first = sparse.csr_array(data.X).toarray()[:, :1]
     narrow = Dataset(sparse.csr_array(first), data.y, 2, data.label_table)
     code, preds, _ = predict_file(tmp_path, model_path, narrow, capsys)
     assert code == 0
@@ -178,7 +178,7 @@ def test_noise_subcommand_flips_labels(tmp_path, train_file):
     clean = parse_libsvm(train_file.read_text())
     noisy = parse_libsvm(out.read_text())
     assert np.array_equal(noisy.y, 3 - clean.y)
-    assert np.array_equal(noisy.X.toarray(), clean.X.toarray())
+    assert np.array_equal(sparse.csr_array(noisy.X).toarray(), sparse.csr_array(clean.X).toarray())
 
 
 def test_noise_outlier_keeps_count(tmp_path, train_file):
@@ -199,7 +199,9 @@ def test_noise_outlier_keeps_count(tmp_path, train_file):
     assert code == 0
     clean = parse_libsvm(train_file.read_text())
     noisy = parse_libsvm(out.read_text(), dim=clean.dim)
-    changed = np.any(noisy.X.toarray() != clean.X.toarray(), axis=1)
+    changed = np.any(
+        sparse.csr_array(noisy.X).toarray() != sparse.csr_array(clean.X).toarray(), axis=1
+    )
     assert changed.sum() == int(0.25 * clean.n)
 
 

@@ -1,11 +1,11 @@
-"""Sparse data handling: parsing, serialization, synthesis, noise injection."""
+"""Data handling: parsing, serialization, synthesis, noise injection."""
 
 import io
 import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import sparse, stats
 
 from ttlr.data import (
     DataFormatError,
@@ -18,6 +18,12 @@ from ttlr.data import (
     serialize_libsvm,
     synth_gaussians,
 )
+
+
+def dense(X):
+    """The feature matrix as an ndarray, whichever storage the Dataset chose."""
+    return sparse.csr_array(X).toarray()
+
 
 SAMPLE = """\
 +1 1:0.5 3:-2
@@ -84,7 +90,7 @@ def test_serialize_round_trip_is_exact():
     back = parse_libsvm(text)
     assert np.array_equal(back.y, data.y)
     assert back.label_table == data.label_table
-    assert np.array_equal(back.X.toarray(), data.X.toarray())
+    assert np.array_equal(dense(back.X), dense(data.X))
     # labels with exact integer values drop the decimal point
     assert text.splitlines()[0].split()[0] in ("1", "2")
 
@@ -102,14 +108,14 @@ def test_synth_shapes_and_determinism():
     assert data.dim == 2
     assert np.bincount(data.y)[1:].tolist() == [50, 50]
     again = synth_gaussians(50, [(2.0, 0.0), (-2.0, 0.0)], seed=3)
-    assert np.array_equal(data.X.toarray(), again.X.toarray())
+    assert np.array_equal(dense(data.X), dense(again.X))
     other = synth_gaussians(50, [(2.0, 0.0), (-2.0, 0.0)], seed=4)
-    assert not np.array_equal(data.X.toarray(), other.X.toarray())
+    assert not np.array_equal(dense(data.X), dense(other.X))
 
 
 def test_synth_class_means():
     data = synth_gaussians(2000, [(2.0, 0.0), (-2.0, 0.0)], seed=1)
-    X = data.X.toarray()
+    X = dense(data.X)
     m1 = X[data.y == 1].mean(axis=0)
     m2 = X[data.y == 2].mean(axis=0)
     assert np.allclose(m1, [2.0, 0.0], atol=0.1)
@@ -120,7 +126,7 @@ def test_synth_bayes_rate_of_standard_blobs():
     # means +-(2, 0) with unit covariance: the optimal rule is sign(x1) and
     # its accuracy is Phi(2)
     data = synth_gaussians(20000, [(2.0, 0.0), (-2.0, 0.0)], seed=11)
-    X = data.X.toarray()
+    X = dense(data.X)
     pred = np.where(X[:, 0] >= 0.0, 1, 2)
     acc = float(np.mean(pred == data.y))
     assert acc == pytest.approx(stats.norm.cdf(2.0), abs=0.01)
@@ -139,19 +145,19 @@ def test_outlier_noise_counts_and_label_preservation():
     data = synth_gaussians(100, [(2.0, 0.0), (-2.0, 0.0)], seed=2)
     noisy = inject_outlier_noise(data, sigma=10.0, ratio=0.3, seed=5)
     assert np.array_equal(noisy.y, data.y)
-    diff = noisy.X.toarray() - data.X.toarray()
+    diff = dense(noisy.X) - dense(data.X)
     changed = np.any(diff != 0.0, axis=1)
     assert changed.sum() == math.floor(0.3 * data.n)
     # untouched rows are bitwise identical
     assert np.array_equal(
-        noisy.X.toarray()[~changed], data.X.toarray()[~changed]
+        dense(noisy.X)[~changed], dense(data.X)[~changed]
     )
 
 
 def test_outlier_noise_is_additive_with_requested_scale():
     data = synth_gaussians(2000, [(2.0, 0.0), (-2.0, 0.0)], seed=7)
     noisy = inject_outlier_noise(data, sigma=10.0, ratio=0.5, seed=8)
-    diff = noisy.X.toarray() - data.X.toarray()
+    diff = dense(noisy.X) - dense(data.X)
     perturbation = diff[np.any(diff != 0.0, axis=1)]
     assert abs(perturbation.std() - 10.0) / 10.0 < 0.05
     assert abs(perturbation.mean()) < 0.5
@@ -166,9 +172,9 @@ def test_outlier_noise_determinism():
     data = synth_gaussians(50, [(2.0, 0.0), (-2.0, 0.0)], seed=0)
     a = inject_outlier_noise(data, 10.0, 0.2, seed=42)
     b = inject_outlier_noise(data, 10.0, 0.2, seed=42)
-    assert np.array_equal(a.X.toarray(), b.X.toarray())
+    assert np.array_equal(dense(a.X), dense(b.X))
     c = inject_outlier_noise(data, 10.0, 0.2, seed=43)
-    assert not np.array_equal(a.X.toarray(), c.X.toarray())
+    assert not np.array_equal(dense(a.X), dense(c.X))
 
 
 def test_random_flip_endpoints_and_counts():
@@ -180,7 +186,7 @@ def test_random_flip_endpoints_and_counts():
     some = inject_random_flip(data, 0.3, seed=3)
     frac = np.mean(some.y != data.y)
     assert 0.2 < frac < 0.4
-    assert np.array_equal(some.X.toarray(), data.X.toarray())
+    assert np.array_equal(dense(some.X), dense(data.X))
 
 
 def test_random_flip_requires_binary():
@@ -195,7 +201,7 @@ def test_margin_flip_count_and_determinism():
     assert int(np.sum(noisy.y != data.y)) == math.floor(0.1 * data.n)
     again = inject_margin_flip(data, 0.1, seed=13)
     assert np.array_equal(noisy.y, again.y)
-    assert np.array_equal(noisy.X.toarray(), data.X.toarray())
+    assert np.array_equal(dense(noisy.X), dense(data.X))
 
 
 def test_margin_flip_prefers_confident_points():
@@ -206,7 +212,7 @@ def test_margin_flip_prefers_confident_points():
     # rank margins with an independent direction: the class-mean difference,
     # oriented so positive margin means correct (class 1 carries sign -1)
     w = np.array([-2.0, 0.0]) - np.array([2.0, 0.0])
-    u = signed * (data.X.toarray() @ w)
+    u = signed * (dense(data.X) @ w)
     order = np.argsort(u)
     n10 = data.n // 10
     bottom, top = order[:n10], order[-n10:]
@@ -235,8 +241,8 @@ def test_noise_spec_dispatch_and_validation():
     data = synth_gaussians(40, [(2.0, 0.0), (-2.0, 0.0)], seed=2)
     spec = NoiseSpec("outlier", 0.25, seed=9, sigma=10.0)
     assert np.array_equal(
-        spec.apply(data).X.toarray(),
-        inject_outlier_noise(data, 10.0, 0.25, 9).X.toarray(),
+        dense(spec.apply(data).X),
+        dense(inject_outlier_noise(data, 10.0, 0.25, 9).X),
     )
     assert NoiseSpec("outlier", 0.0, seed=1).apply(data) is data
     flip = NoiseSpec("random_flip", 0.8, seed=3)
@@ -264,8 +270,6 @@ def test_dataset_subset_and_signed_labels():
 
 
 def test_dataset_validates_labels():
-    from scipy import sparse
-
     X = sparse.csr_array(np.ones((2, 1)))
     with pytest.raises(ValueError):
         Dataset(X, np.array([1, 3]), num_classes=2)

@@ -288,6 +288,36 @@ def test_spec_from_config_rejects_unknown_keys():
             spec_from_config({"methods": ["plain_lr"], key: "x.svm"})
 
 
+@pytest.mark.parametrize(
+    "section,body,where",
+    [
+        ("noise", {"levels": 0.2}, "noise.levels"),
+        ("noise", {"levels": "0.2"}, "noise.levels"),
+        ("cv", {"lambda_grid": "1e-3"}, "cv.lambda_grid"),
+        ("data", {"mean": 2.0}, "data.mean"),
+    ],
+)
+def test_spec_from_config_names_a_mistyped_list(section, body, where):
+    with pytest.raises(ValueError, match=f"config '{where}' must be a list of numbers"):
+        spec_from_config({"methods": ["plain_lr"], section: body})
+
+
+def test_spec_from_config_names_a_mistyped_number():
+    for cfg, where in (
+        ({"noise": {"sigma": "10"}}, "noise.sigma"),
+        ({"cv": {"folds": "3"}}, "cv.folds"),
+        ({"cv": {"lambda_points": [5]}}, "cv.lambda_points"),
+        ({"data": {"train_per_class": None}}, "data.train_per_class"),
+        ({"data": {"test_per_class": True}}, "data.test_per_class"),
+        ({"data": {"path": "x.svm", "split": "0.5"}}, "data.split"),
+        ({"repetitions": "2"}, "repetitions"),
+        ({"seed": [1]}, "seed"),
+        ({"noise": {"levels": [0.1, "0.2"]}}, "noise.levels"),
+    ):
+        with pytest.raises(ValueError, match=f"config '{where}' must be"):
+            spec_from_config({"methods": ["plain_lr"], **cfg})
+
+
 @pytest.mark.xfail(
     strict=True,
     reason=(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import optimize, sparse
 
-from ttlr.data import Dataset, inject_outlier_noise, synth_gaussians
+from ttlr.data import Dataset, inject_outlier_noise, parse_libsvm, synth_gaussians
 from ttlr.loss import TemperaturePair, regularized_objective
 from ttlr.model import (
     FitConfig,
@@ -78,7 +78,7 @@ def test_predict_single_and_batch(blobs):
     row = predict(model, blobs.X[[0]])
     assert batch.shape == (blobs.n,)
     assert row == batch[0]
-    dense_row = predict(model, blobs.X[[0]].toarray().ravel())
+    dense_row = predict(model, sparse.csr_array(blobs.X[[0]]).toarray().ravel())
     assert dense_row == batch[0]
 
 
@@ -115,15 +115,26 @@ def test_fit_converges_on_the_zero_gap_plateau():
         assert model.trace.termination == "converged", temps
 
 
+def test_fit_accepts_dense_features():
+    data = Dataset(np.ones((2, 2)), np.array([1, 2]), 2)
+    model = fit(data, temps=(1.0, 1.0), lam=0.1)
+    assert model.trace.termination == "converged"
+    assert np.isfinite(model.W).all()
+
+
 def test_degenerate_all_zero_features():
     X = sparse.csr_array(np.zeros((6, 3)))
-    data = Dataset(X, np.array([1, 1, 1, 2, 2, 2]), num_classes=2)
-    model = fit(data, temps=(1.0, 1.0), lam=0.1)
-    assert model.trace.termination == "degenerate_data"
-    assert np.array_equal(model.W, np.zeros((3, 2)))
-    assert model.trace.warnings
-    # ties resolve to the lowest class index
-    assert predict(model, X).tolist() == [1] * 6
+    # no entry stored, and every entry stored as an explicit zero
+    for data in (
+        Dataset(X, np.array([1, 1, 1, 2, 2, 2]), num_classes=2),
+        parse_libsvm("1 1:0 2:0 3:0\n" * 3 + "2 1:0 2:0 3:0\n" * 3),
+    ):
+        model = fit(data, temps=(1.0, 1.0), lam=0.1)
+        assert model.trace.termination == "degenerate_data"
+        assert np.array_equal(model.W, np.zeros((3, 2)))
+        assert model.trace.warnings
+        # ties resolve to the lowest class index
+        assert predict(model, data.X).tolist() == [1] * 6
 
 
 def test_save_load_round_trip(tmp_path, blobs):
@@ -194,7 +205,7 @@ def test_fit_rejects_bad_lambda_and_features(blobs):
     for lam in (float("nan"), float("inf"), -1e-3):
         with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
             fit(blobs, temps=(1.0, 1.0), lam=lam)
-    X = blobs.X.toarray()
+    X = sparse.csr_array(blobs.X).toarray()
     X[3, 1] = np.nan
     bad = Dataset(sparse.csr_array(X), blobs.y, blobs.num_classes)
     with pytest.raises(ValueError, match="feature values must be finite"):
