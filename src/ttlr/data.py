@@ -32,12 +32,21 @@ class DataFormatError(ValueError):
     """Malformed input text; message carries the 1-based line number."""
 
 
+class _DenseFeatures(np.ndarray):
+    """A fully stored feature matrix; as on CSR, nnz counts its stored entries."""
+
+    @property
+    def nnz(self) -> int:
+        return self.size
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature rows plus 1-based integer class labels.
 
     X is a 2-D float ndarray when every entry is stored (dense input, or CSR
     with nnz == n * dim) and a CSR array otherwise; callers never choose.
+    X.nnz counts the stored entries under both storages.
     label_table[k-1] is the original label value for class k; when none is
     given (synthetic data) it is the identity table (1.0, 2.0, ...).
     """
@@ -48,11 +57,14 @@ class Dataset:
     label_table: tuple = ()
 
     def __post_init__(self):
-        X = sparse.csr_array(self.X) if sparse.issparse(self.X) else np.asarray(self.X, dtype=float)
+        X = self.X
+        X = sparse.csr_array(X) if sparse.issparse(X) else np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"Dataset X must be a 2-D feature matrix, got shape {X.shape}")
         if sparse.issparse(X) and X.nnz == X.shape[0] * X.shape[1]:
             X = X.toarray()
+        if not sparse.issparse(X):
+            X = X.view(_DenseFeatures)
         object.__setattr__(self, "X", X)
         y = np.asarray(self.y, dtype=np.int64)
         object.__setattr__(self, "y", y)
@@ -214,13 +226,16 @@ def parse_libsvm(stream, dim: int | None = None) -> Dataset:
 
 def serialize_libsvm(data: Dataset) -> str:
     """Inverse of parse_libsvm; labels written via the recorded table."""
-    table = data.label_table
-    X = sparse.csr_array(data.X)
+    table, X = data.label_table, data.X
     out = []
     for i in range(data.n):
-        start, end = X.indptr[i], X.indptr[i + 1]
+        if sparse.issparse(X):
+            start, end = X.indptr[i], X.indptr[i + 1]
+            cols, values = X.indices[start:end], X.data[start:end]
+        else:  # every entry is stored, so every entry is written, zeros too
+            cols, values = range(data.dim), X[i]
         parts = [format_number(table[data.y[i] - 1])]
-        for j, v in zip(X.indices[start:end], X.data[start:end]):
+        for j, v in zip(cols, values):
             parts.append(f"{j + 1}:{format_number(v)}")
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"

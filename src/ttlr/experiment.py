@@ -333,15 +333,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _numbers(table: dict, path: str, default, many: bool = False):
-    """The number (with many, the list of numbers as a tuple) at path's last key."""
-    value = table.get(path.rpartition(".")[2], default)
+def _numbers(value, name: str, many: bool = False):
+    """value as a number (with many, a list of numbers as a tuple), else a located error."""
     if many and isinstance(value, list) and all(map(_is_number, value)):
         return tuple(value)
     if not many and _is_number(value):
         return value
     kind = "a list of numbers" if many else "a number"
-    raise ValueError(f"config '{path}' must be {kind}, got {value!r}")
+    raise ValueError(f"config '{name}' must be {kind}, got {value!r}")
 
 
 def spec_from_config(config: dict) -> ExperimentSpec:
@@ -376,9 +375,9 @@ def spec_from_config(config: dict) -> ExperimentSpec:
         if noise_unknown:
             raise ValueError(f"unknown noise keys: {sorted(noise_unknown)}")
         kwargs["noise_kind"] = noise.get("kind", "outlier")
-        kwargs["noise_levels"] = _numbers(noise, "noise.levels", [0.0], many=True)
+        kwargs["noise_levels"] = _numbers(noise.get("levels", [0.0]), "noise.levels", many=True)
         if "sigma" in noise:
-            kwargs["noise_sigma"] = float(_numbers(noise, "noise.sigma", None))
+            kwargs["noise_sigma"] = float(_numbers(noise["sigma"], "noise.sigma"))
     cv = config.get("cv", {})
     if cv:
         cv_unknown = set(cv) - {"folds", "lambda_grid", "lambda_points"}
@@ -388,29 +387,31 @@ def spec_from_config(config: dict) -> ExperimentSpec:
         if grid is not None and "lambda_points" in cv:
             raise ValueError("give either lambda_grid or lambda_points, not both")
         if grid is None:
-            grid = default_lambda_grid(int(_numbers(cv, "cv.lambda_points", 13)))
+            points = _numbers(cv.get("lambda_points", 13), "cv.lambda_points")
+            grid = default_lambda_grid(int(points))
         else:
-            grid = _numbers(cv, "cv.lambda_grid", None, many=True)
-        kwargs["cv"] = CrossValSpec(int(_numbers(cv, "cv.folds", 5)), grid)
+            grid = _numbers(grid, "cv.lambda_grid", many=True)
+        kwargs["cv"] = CrossValSpec(int(_numbers(cv.get("folds", 5), "cv.folds")), grid)
     data = config.get("data", {})
     if "path" in data:
         data_unknown = set(data) - {"path", "split"}
         if data_unknown:
             raise ValueError(f"unknown data keys: {sorted(data_unknown)}")
-        split = float(_numbers(data, "data.split", 0.5))
+        split = float(_numbers(data.get("split", 0.5), "data.split"))
         kwargs["data"] = FileSource(path=data["path"], split=split)
     elif data:
         data_unknown = set(data) - {"train_per_class", "test_per_class", "mean"}
         if data_unknown:
             raise ValueError(f"unknown data keys: {sorted(data_unknown)}")
-        kwargs["data"] = SyntheticSpec(
-            train_per_class=int(_numbers(data, "data.train_per_class", 1000)),
-            test_per_class=int(_numbers(data, "data.test_per_class", 1000)),
-            mean=_numbers(data, "data.mean", [2.0, 0.0], many=True),
-        )
+        sizes = {
+            key: int(_numbers(data.get(key, 1000), f"data.{key}"))
+            for key in ("train_per_class", "test_per_class")
+        }
+        mean = _numbers(data.get("mean", [2.0, 0.0]), "data.mean", many=True)
+        kwargs["data"] = SyntheticSpec(**sizes, mean=mean)
     for key in ("repetitions", "seed"):
         if key in config:
-            kwargs[key] = int(_numbers(config, key, None))
+            kwargs[key] = int(_numbers(config[key], key))
     if "time_fits" in config:
         kwargs["time_fits"] = bool(config["time_fits"])
     return ExperimentSpec(**kwargs)

@@ -181,6 +181,16 @@ def test_noise_subcommand_flips_labels(tmp_path, train_file):
     assert np.array_equal(sparse.csr_array(noisy.X).toarray(), sparse.csr_array(clean.X).toarray())
 
 
+def test_noise_keeps_an_explicit_zero_column(tmp_path):
+    src = tmp_path / "full.svm"
+    src.write_text("1 1:1 2:0\n2 1:2 2:0\n")
+    out = tmp_path / "flipped.svm"
+    argv = ["noise", "--data", str(src), "--kind", "random_flip", "--level", "1.0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == "2 1:1 2:0\n1 1:2 2:0\n"
+    assert parse_libsvm(out.read_text()).dim == 2
+
+
 def test_noise_outlier_keeps_count(tmp_path, train_file):
     out = tmp_path / "noisy.svm"
     code = main(

@@ -35,6 +35,17 @@ def test_fit_separates_easy_data(blobs):
         assert acc > 0.95
 
 
+def test_fit_separates_easy_sparse_data(blobs):
+    # an unstored third feature keeps X in CSR
+    X = sparse.hstack([sparse.csr_array(blobs.X), sparse.csr_array((blobs.n, 1))], format="csr")
+    data = Dataset(X, blobs.y, blobs.num_classes)
+    assert sparse.issparse(data.X)
+    for temps in ((1.0, 1.0), (0.6, 1.6)):
+        model = fit(data, temps=temps, lam=1e-4)
+        assert model.trace.termination == "converged"
+        assert float(np.mean(predict(model, data.X) == data.y)) > 0.95
+
+
 def test_fit_is_deterministic(blobs):
     m1 = fit(blobs, temps=(0.6, 1.6), lam=1e-3, config=FitConfig(seed=7))
     m2 = fit(blobs, temps=(0.6, 1.6), lam=1e-3, config=FitConfig(seed=7))
@@ -75,11 +86,10 @@ def test_gradient_norm_at_solution(blobs):
 def test_predict_single_and_batch(blobs):
     model = fit(blobs, temps=(1.0, 1.0), lam=1e-3)
     batch = predict(model, blobs.X)
-    row = predict(model, blobs.X[[0]])
     assert batch.shape == (blobs.n,)
-    assert row == batch[0]
-    dense_row = predict(model, sparse.csr_array(blobs.X[[0]]).toarray().ravel())
-    assert dense_row == batch[0]
+    assert predict(model, sparse.csr_array(blobs.X[[0]])) == batch[0]
+    assert predict(model, blobs.X[[0]]) == batch[0]
+    assert predict(model, blobs.X[0]) == batch[0]
 
 
 def test_predict_proba_normalizes(blobs):

@@ -48,12 +48,33 @@ def test_fit_and_predict_agree_across_storage(pair):
         assert np.array_equal(predict(m_csr, dense.X), predict(m_csr, csr.X))
 
 
-def test_serialization_bytes_agree_across_storage(pair):
+def test_serialization_round_trips_both_storages(pair):
     dense, csr = pair
-    text = serialize_libsvm(dense)
-    assert text == serialize_libsvm(csr)
-    # exact zeros are not written, so the file reads back sparse
-    assert sparse.issparse(parse_libsvm(text).X)
+    for data in pair:
+        back = parse_libsvm(serialize_libsvm(data), dim=data.dim)
+        assert type(back.X) is type(data.X)
+        assert back.X.nnz == data.X.nnz
+        assert np.array_equal(sparse.csr_array(back.X).toarray(), dense.X)
+    # a dense X writes its exact zeros too; on rows without one the bytes agree
+    lines_dense = serialize_libsvm(dense).splitlines()
+    lines_csr = serialize_libsvm(csr).splitlines()
+    full = np.flatnonzero((dense.X != 0.0).all(axis=1))
+    assert full.size
+    assert [lines_dense[i] for i in full] == [lines_csr[i] for i in full]
+
+
+def test_explicit_zero_column_survives_serialization():
+    text = "1 1:1 2:0\n2 1:2 2:0\n"
+    data = parse_libsvm(text)
+    assert isinstance(data.X, np.ndarray)
+    assert serialize_libsvm(data) == text
+    assert parse_libsvm(serialize_libsvm(data)).dim == 2
+
+
+def test_nnz_counts_stored_entries(pair):
+    dense, csr = pair
+    assert dense.X.nnz == dense.X.size
+    assert csr.X.nnz == np.count_nonzero(dense.X)
 
 
 def test_synthetic_data_is_dense():
