@@ -114,13 +114,15 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in self.VALID_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        # NaN fails every comparison, so each check is written to pass only valid values
         if self.kind == "random_flip":
             if not (0.0 <= self.level <= 1.0):
-                raise ValueError("flip probability must lie in [0, 1]")
+                raise ValueError(f"noise level (flip probability) must lie in [0, 1], "
+                                 f"got {self.level!r}")
         elif not (0.0 <= self.level <= 0.5):
-            raise ValueError("noise ratio must lie in [0, 0.5]")
-        if self.kind == "outlier" and self.sigma <= 0.0:
-            raise ValueError("sigma must be > 0")
+            raise ValueError(f"noise level (ratio) must lie in [0, 0.5], got {self.level!r}")
+        if self.kind == "outlier" and not (np.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError(f"noise sigma must be finite and > 0, got {self.sigma!r}")
 
     def apply(self, data: Dataset) -> Dataset:
         if self.level == 0.0:
@@ -266,8 +268,8 @@ def inject_outlier_noise(data: Dataset, sigma: float, ratio: float, seed: int) -
     """
     if not (0.0 <= ratio <= 0.5):
         raise ValueError("ratio must lie in [0, 0.5]")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be > 0")
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
     k = int(np.floor(ratio * data.n))
     if k == 0:
         return data

@@ -123,6 +123,9 @@ class CrossValSpec:
         grid = tuple(float(v) for v in self.lambda_grid)
         if not grid:
             raise ValueError("lambda grid is empty")
+        for v in grid:
+            if not np.isfinite(v):
+                raise ValueError(f"lambda grid entries must be finite, got {v!r}")
         lo, hi = LAMBDA_RANGE
         if min(grid) < lo or max(grid) > hi:
             raise ValueError(f"lambda grid must lie within [{lo}, {hi}]")
@@ -154,9 +157,8 @@ class ExperimentSpec:
         if not levels:
             raise ValueError("need at least one noise level")
         for level in levels:
-            if level > 0.0:
-                # range checks live in NoiseSpec; fail before the run starts
-                NoiseSpec(self.noise_kind, level, seed=0, sigma=self.noise_sigma)
+            # range checks live in NoiseSpec; fail before the run starts
+            NoiseSpec(self.noise_kind, level, seed=0, sigma=self.noise_sigma)
         object.__setattr__(self, "noise_levels", levels)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
@@ -208,24 +210,34 @@ def _rep_datasets(spec: ExperimentSpec, rep: int, full: Dataset | None):
 
 
 def select_lambda(train: Dataset, temps, cv: CrossValSpec, cv_seed: int, init_seed: int) -> float:
-    """Mean validation accuracy over k folds; ties resolve to the larger lambda."""
+    """The grid's ridge weight with the best mean validation accuracy over k folds.
+
+    Each fold fits the grid from the largest lambda down. Its first fit
+    starts from the seeded near-zero init and every later fit from the
+    previous lambda's W, the warm-started regularization path of Friedman,
+    Hastie and Tibshirani (JSS 2010), which needs about half the objective
+    evaluations of cold starts. Ties resolve to the larger lambda, so the
+    result does not depend on the grid's order.
+    """
     if cv.folds > train.n:
         raise ValueError(f"{cv.folds}-fold cross-validation needs at least {cv.folds} "
                          f"training rows, got {train.n}")
     rng = np.random.default_rng(cv_seed)
     folds = np.array_split(rng.permutation(train.n), cv.folds)
     config = FitConfig(seed=init_seed)
-    mean_accs = []
-    for lam in cv.lambda_grid:
-        accs = []
-        for k in range(cv.folds):
-            val_idx = folds[k]
-            train_idx = np.concatenate([folds[j] for j in range(cv.folds) if j != k])
-            model = fit(train.subset(train_idx), temps, lam, config)
-            accs.append(_accuracy(model, train.subset(val_idx)))
-        mean_accs.append(float(np.mean(accs)))
-    best = max(mean_accs)
-    return max(lam for lam, acc in zip(cv.lambda_grid, mean_accs) if acc == best)
+    lams = sorted(cv.lambda_grid, reverse=True)
+    accs = np.empty((len(lams), cv.folds))
+    for k in range(cv.folds):
+        fold_train = train.subset(np.concatenate(folds[:k] + folds[k + 1:]))
+        fold_val = train.subset(folds[k])
+        W = None
+        for i, lam in enumerate(lams):
+            model = fit(fold_train, temps, lam, config, init=W)
+            W = model.W
+            accs[i, k] = _accuracy(model, fold_val)
+    mean_accs = accs.mean(axis=1)
+    best = mean_accs.max()
+    return max(lam for lam, acc in zip(lams, mean_accs) if acc == best)
 
 
 def run_experiment(spec: ExperimentSpec) -> list:
@@ -343,6 +355,16 @@ def _numbers(value, name: str, many: bool = False):
     raise ValueError(f"config '{name}' must be {kind}, got {value!r}")
 
 
+def _integer(value, name: str, least: int | None = None) -> int:
+    """value as an integer-valued number (at least `least`), else a located error."""
+    number = _numbers(value, name)
+    fractional = isinstance(number, float) and not number.is_integer()
+    if fractional or (least is not None and number < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"config '{name}' must be an integer{bound}, got {value!r}")
+    return int(number)
+
+
 def spec_from_config(config: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from a parsed JSON config dictionary.
 
@@ -387,11 +409,11 @@ def spec_from_config(config: dict) -> ExperimentSpec:
         if grid is not None and "lambda_points" in cv:
             raise ValueError("give either lambda_grid or lambda_points, not both")
         if grid is None:
-            points = _numbers(cv.get("lambda_points", 13), "cv.lambda_points")
-            grid = default_lambda_grid(int(points))
+            points = _integer(cv.get("lambda_points", 13), "cv.lambda_points", least=1)
+            grid = default_lambda_grid(points)
         else:
             grid = _numbers(grid, "cv.lambda_grid", many=True)
-        kwargs["cv"] = CrossValSpec(int(_numbers(cv.get("folds", 5), "cv.folds")), grid)
+        kwargs["cv"] = CrossValSpec(_integer(cv.get("folds", 5), "cv.folds"), grid)
     data = config.get("data", {})
     if "path" in data:
         data_unknown = set(data) - {"path", "split"}
@@ -404,14 +426,14 @@ def spec_from_config(config: dict) -> ExperimentSpec:
         if data_unknown:
             raise ValueError(f"unknown data keys: {sorted(data_unknown)}")
         sizes = {
-            key: int(_numbers(data.get(key, 1000), f"data.{key}"))
+            key: _integer(data.get(key, 1000), f"data.{key}")
             for key in ("train_per_class", "test_per_class")
         }
         mean = _numbers(data.get("mean", [2.0, 0.0]), "data.mean", many=True)
         kwargs["data"] = SyntheticSpec(**sizes, mean=mean)
-    for key in ("repetitions", "seed"):
+    for key, least in (("repetitions", None), ("seed", 0)):
         if key in config:
-            kwargs[key] = int(_numbers(config[key], key))
+            kwargs[key] = _integer(config[key], key, least=least)
     if "time_fits" in config:
         kwargs["time_fits"] = bool(config["time_fits"])
     return ExperimentSpec(**kwargs)

@@ -66,12 +66,14 @@ class TTLRModel:
         return predict_proba(self, x)
 
 
-def fit(data, temps, lam: float, config: FitConfig | None = None) -> TTLRModel:
-    """Minimize the regularized objective from a seeded near-zero init.
+def fit(data, temps, lam: float, config: FitConfig | None = None, init=None) -> TTLRModel:
+    """Minimize the regularized objective from init, or a seeded near-zero W.
 
-    Deterministic given (data, temps, lam, seed). A dataset whose features
-    are identically zero short-circuits to the zero solution with a warning
-    recorded in the trace (every W is then equivalent up to regularization).
+    init is a (dim, num_classes) start W, such as the solution at a nearby
+    lambda; when it is given the seed is not used. Deterministic given
+    (data, temps, lam, seed, init). A dataset whose features are identically
+    zero short-circuits to the zero solution with a warning recorded in the
+    trace (every W is then equivalent up to regularization).
     """
     temps = as_pair(temps)
     config = config or FitConfig()
@@ -85,6 +87,12 @@ def fit(data, temps, lam: float, config: FitConfig | None = None) -> TTLRModel:
     if not np.isfinite(values).all():
         raise ValueError("feature values must be finite")
     d, c = data.dim, data.num_classes
+    if init is not None:
+        init = np.asarray(init, dtype=float)
+        if init.shape != (d, c):
+            raise ValueError(f"init must have shape ({d}, {c}), got {init.shape}")
+        if not np.isfinite(init).all():
+            raise ValueError("init weights must be finite")
 
     if not values.any():
         trace = OptimizationTrace(termination="degenerate_data")
@@ -95,14 +103,14 @@ def fit(data, temps, lam: float, config: FitConfig | None = None) -> TTLRModel:
             np.zeros((d, c)), temps, float(lam), c, d, True, trace, data.label_table
         )
 
-    rng = np.random.default_rng(config.seed)
-    w0 = rng.normal(0.0, INIT_STDDEV, size=(d, c))
+    if init is None:
+        init = np.random.default_rng(config.seed).normal(0.0, INIT_STDDEV, size=(d, c))
 
     def objective(flat):
         value, grad = regularized_objective(data, flat.reshape(d, c), temps, lam)
         return value, grad.ravel()
 
-    flat, trace = lbfgs_minimize(objective, w0.ravel(), config.optimizer)
+    flat, trace = lbfgs_minimize(objective, init, config.optimizer)
     return TTLRModel(
         flat.reshape(d, c), temps, float(lam), c, d, True, trace, data.label_table
     )

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from ttlr.data import serialize_libsvm, synth_gaussians
+import ttlr.experiment as experiment
+from ttlr.data import NoiseSpec, serialize_libsvm, synth_gaussians
 from ttlr.experiment import (
     CSV_HEADER,
     CrossValSpec,
@@ -24,6 +25,7 @@ from ttlr.experiment import (
     summarize,
 )
 from ttlr.loss import TemperaturePair
+from ttlr.model import FitConfig, fit, predict
 
 TINY_DATA = SyntheticSpec(train_per_class=60, test_per_class=60)
 TINY_CV = CrossValSpec(folds=3, lambda_grid=(1e-6, 1e-3, 1e-1))
@@ -79,6 +81,25 @@ def test_cross_val_spec_validation():
         CrossValSpec(lambda_grid=(1.0, 1e3))
     with pytest.raises(ValueError):
         CrossValSpec(lambda_grid=())
+
+
+def test_cross_val_spec_rejects_nonfinite_grid_entries():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"lambda grid entries must be finite, got {bad}"):
+            CrossValSpec(lambda_grid=(1e-3, bad))
+
+
+def test_noise_settings_reject_nan():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="noise sigma must be finite and > 0, got nan"):
+        NoiseSpec("outlier", 0.1, seed=0, sigma=nan)
+    # both fail at construction, before any fit; a clean-only sweep too
+    with pytest.raises(ValueError, match="noise level .* got nan"):
+        tiny_spec(noise_levels=(0.0, nan))
+    with pytest.raises(ValueError, match="noise level .* got nan"):
+        tiny_spec(noise_kind="random_flip", noise_levels=(nan,))
+    with pytest.raises(ValueError, match="noise sigma must be finite and > 0, got nan"):
+        tiny_spec(noise_levels=(0.0,), noise_sigma=nan)
 
 
 def test_experiment_spec_validation():
@@ -156,9 +177,84 @@ def test_select_lambda_is_deterministic():
     )
 
 
-def test_select_lambda_rejects_fewer_rows_than_folds(monkeypatch):
-    import ttlr.experiment as experiment
+# Fixed-seed CV problem for the warm-start tests: 60 rows per class at
+# (+/-1, 0), 3 folds over 7 lambdas. plain_lr picks 1.0 and ttlr(0.6,1.6)
+# picks 0.01, so neither pick is the first (cold) fit of a fold's path.
+PATH_TRAIN = synth_gaussians(60, [(1.0, 0.0), (-1.0, 0.0)], seed=4)
+PATH_CV = CrossValSpec(folds=3, lambda_grid=default_lambda_grid(7))
 
+
+REAL_ACCURACY = experiment._accuracy
+
+
+def recorded_select_lambda(monkeypatch, temps, cv=PATH_CV):
+    """select_lambda's pick and the (lambda, accuracy, evaluations) of each of its fits."""
+    seen = []
+
+    def recording_accuracy(model, data):
+        acc = REAL_ACCURACY(model, data)
+        seen.append((model.lam, acc, model.trace.evaluations))
+        return acc
+
+    monkeypatch.setattr(experiment, "_accuracy", recording_accuracy)
+    return select_lambda(PATH_TRAIN, temps, cv, cv_seed=1, init_seed=2), seen
+
+
+def warm_path(monkeypatch, temps):
+    """select_lambda's pick, its per-lambda mean accuracy and its summed evaluations."""
+    lam, seen = recorded_select_lambda(monkeypatch, temps)
+    means = {g: float(np.mean([a for v, a, _ in seen if v == g])) for g in PATH_CV.lambda_grid}
+    return lam, means, sum(e for _, _, e in seen)
+
+
+def cold_path(temps):
+    """The same search with every fit from the seeded init, as a plain loop."""
+    folds = np.array_split(np.random.default_rng(1).permutation(PATH_TRAIN.n), PATH_CV.folds)
+    means, evaluations = {}, 0
+    for lam in PATH_CV.lambda_grid:
+        accs = []
+        for k in range(PATH_CV.folds):
+            part = PATH_TRAIN.subset(np.concatenate(folds[:k] + folds[k + 1:]))
+            model = fit(part, temps, lam, FitConfig(seed=2))
+            evaluations += model.trace.evaluations
+            val = PATH_TRAIN.subset(folds[k])
+            accs.append(np.mean(predict(model, val.X) == val.y))
+        means[lam] = float(np.mean(accs))
+    best = max(means.values())
+    return max(lam for lam, acc in means.items() if acc == best), means, evaluations
+
+
+def test_select_lambda_does_not_depend_on_grid_order(monkeypatch):
+    # each fold's path runs from the largest lambda down whatever the grid's
+    # order, so every fit is the same, not only the pick
+    temps = TemperaturePair(0.6, 1.6)
+    grid = PATH_CV.lambda_grid
+    want = recorded_select_lambda(monkeypatch, temps)
+    shuffled = (grid[2], grid[6], grid[0], *grid[3:6], grid[1])
+    for order in (grid[::-1], grid[3:] + grid[:3], shuffled):
+        cv = CrossValSpec(folds=PATH_CV.folds, lambda_grid=order)
+        assert recorded_select_lambda(monkeypatch, temps, cv) == want
+
+
+def test_warm_path_matches_cold_starts_on_plain_lr(monkeypatch):
+    # the plain_lr objective is convex, so warm and cold starts reach the
+    # same minimizer up to grad_tol and classify every validation row alike
+    temps = TemperaturePair(1.0, 1.0)
+    lam, means, _ = warm_path(monkeypatch, temps)
+    cold_lam, cold_means, _ = cold_path(temps)
+    assert lam == cold_lam
+    assert means == cold_means
+
+
+@pytest.mark.parametrize("temps", [(1.0, 1.0), (0.6, 1.6)])
+def test_warm_path_needs_fewer_evaluations(monkeypatch, temps):
+    # 114 against 191 evaluations for plain_lr, 152 against 254 for ttlr(0.6,1.6)
+    _, _, evaluations = warm_path(monkeypatch, TemperaturePair(*temps))
+    _, _, cold_evaluations = cold_path(TemperaturePair(*temps))
+    assert evaluations < cold_evaluations
+
+
+def test_select_lambda_rejects_fewer_rows_than_folds(monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("fit called before the fold count was checked")
 
@@ -316,6 +412,38 @@ def test_spec_from_config_names_a_mistyped_number():
     ):
         with pytest.raises(ValueError, match=f"config '{where}' must be"):
             spec_from_config({"methods": ["plain_lr"], **cfg})
+
+
+@pytest.mark.parametrize(
+    "cfg,where,bound",
+    [
+        ({"cv": {"folds": 2.7}}, "cv.folds", ""),
+        ({"cv": {"lambda_points": 2.5}}, "cv.lambda_points", " >= 1"),
+        ({"cv": {"lambda_points": -1}}, "cv.lambda_points", " >= 1"),
+        ({"cv": {"lambda_points": 0}}, "cv.lambda_points", " >= 1"),
+        ({"data": {"train_per_class": 10.5}}, "data.train_per_class", ""),
+        ({"data": {"test_per_class": 0.5}}, "data.test_per_class", ""),
+        ({"repetitions": 1.5}, "repetitions", ""),
+        ({"seed": -1}, "seed", " >= 0"),
+        ({"seed": 0.5}, "seed", " >= 0"),
+    ],
+)
+def test_spec_from_config_requires_integer_counts(cfg, where, bound):
+    with pytest.raises(ValueError, match=f"config '{where}' must be an integer{bound}, got "):
+        spec_from_config({"methods": ["plain_lr"], **cfg})
+
+
+def test_spec_from_config_accepts_integer_valued_floats():
+    spec = spec_from_config({
+        "methods": ["plain_lr"],
+        "cv": {"folds": 3.0, "lambda_points": 4.0},
+        "data": {"train_per_class": 20.0, "test_per_class": 10},
+        "repetitions": 2.0,
+        "seed": 7.0,
+    })
+    assert (spec.cv.folds, len(spec.cv.lambda_grid), spec.repetitions, spec.seed) == (3, 4, 2, 7)
+    assert (spec.data.train_per_class, spec.data.test_per_class) == (20, 10)
+    assert all(type(v) is int for v in (spec.cv.folds, spec.repetitions, spec.seed))
 
 
 @pytest.mark.xfail(

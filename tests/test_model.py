@@ -222,6 +222,31 @@ def test_fit_rejects_bad_lambda_and_features(blobs):
         fit(bad, temps=(1.0, 1.0), lam=1e-3)
 
 
+def test_fit_from_a_converged_init_stops_at_once(blobs):
+    temps = (0.6, 1.6)
+    cold = fit(blobs, temps=temps, lam=1e-3)
+    assert cold.trace.termination == "converged"
+    start = cold.W.copy()
+    # the seed is not used once init is given
+    warm = fit(blobs, temps=temps, lam=1e-3, config=FitConfig(seed=99), init=cold.W)
+    assert warm.trace.termination == "converged"
+    assert warm.trace.evaluations <= 3
+    assert np.array_equal(warm.W, cold.W)
+    assert np.array_equal(cold.W, start)
+
+
+def test_fit_rejects_bad_init(blobs):
+    with pytest.raises(ValueError, match=r"init must have shape \(2, 2\), got \(3, 2\)"):
+        fit(blobs, temps=(1.0, 1.0), lam=1e-3, init=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"init must have shape \(2, 2\), got \(4,\)"):
+        fit(blobs, temps=(1.0, 1.0), lam=1e-3, init=np.zeros(4))
+    for bad in (np.nan, np.inf):
+        init = np.zeros((2, 2))
+        init[1, 0] = bad
+        with pytest.raises(ValueError, match="init weights must be finite"):
+            fit(blobs, temps=(1.0, 1.0), lam=1e-3, init=init)
+
+
 def test_load_rejects_nonfinite_payload(tmp_path, blobs):
     model = fit(blobs, temps=(1.0, 1.0), lam=1e-3)
     path = tmp_path / "model.json"
