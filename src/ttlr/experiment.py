@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import re
 import time
 from dataclasses import dataclass, field
@@ -55,6 +56,19 @@ def default_lambda_grid(points: int = 13) -> tuple:
     """Log-spaced ridge weights spanning the full allowed range."""
     lo, hi = LAMBDA_RANGE
     return tuple(float(v) for v in np.logspace(np.log10(lo), np.log10(hi), points))
+
+
+def _count(value, name: str, least: int) -> int:
+    """value as an int of at least `least`, else an error naming the field.
+
+    Integers and integer-valued floats pass; bools, fractions and NaN do not.
+    """
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not whole or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -118,8 +132,7 @@ class CrossValSpec:
     lambda_grid: tuple = field(default_factory=default_lambda_grid)
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise ValueError("cross-validation needs at least 2 folds")
+        object.__setattr__(self, "folds", _count(self.folds, "CrossValSpec folds", 2))
         grid = tuple(float(v) for v in self.lambda_grid)
         if not grid:
             raise ValueError("lambda grid is empty")
@@ -160,8 +173,10 @@ class ExperimentSpec:
             # range checks live in NoiseSpec; fail before the run starts
             NoiseSpec(self.noise_kind, level, seed=0, sigma=self.noise_sigma)
         object.__setattr__(self, "noise_levels", levels)
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        object.__setattr__(
+            self, "repetitions", _count(self.repetitions, "ExperimentSpec repetitions", 1)
+        )
+        object.__setattr__(self, "seed", _count(self.seed, "ExperimentSpec seed", 0))
         if not isinstance(self.data, (SyntheticSpec, FileSource)):
             raise ValueError("data must be a SyntheticSpec or FileSource")
 

