@@ -66,7 +66,15 @@ class Dataset:
         if not sparse.issparse(X):
             X = X.view(_DenseFeatures)
         object.__setattr__(self, "X", X)
-        y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
+        if y.dtype.kind not in "iu":
+            y = np.asarray(y, dtype=float)
+            bad = np.flatnonzero(~np.isfinite(y) | (y != np.trunc(y)))
+            if bad.size:
+                raise ValueError(
+                    f"labels must be integers, got {float(y.flat[bad[0]])!r} at index {bad[0]}"
+                )
+        y = y.astype(np.int64, copy=False)
         object.__setattr__(self, "y", y)
         if self.X.shape[0] != y.shape[0]:
             raise ValueError("feature matrix and label vector disagree on N")

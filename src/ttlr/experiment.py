@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import numbers
+import os
 import re
 import time
 from dataclasses import dataclass, field
@@ -110,8 +112,21 @@ class SyntheticSpec:
     mean: tuple = (2.0, 0.0)
 
     def __post_init__(self):
-        if self.train_per_class < 1 or self.test_per_class < 1:
-            raise ValueError("per-class sizes must be >= 1")
+        for name in ("train_per_class", "test_per_class"):
+            count = _count(getattr(self, name), f"SyntheticSpec {name}", 1)
+            object.__setattr__(self, name, count)
+        mean = self.mean
+        if not (
+            isinstance(mean, (list, tuple, np.ndarray))
+            and len(mean) > 0
+            and all(_is_number(v) and math.isfinite(v) for v in mean)
+        ):
+            raise ValueError(
+                f"SyntheticSpec mean must be a nonempty list of finite numbers, got {mean!r}"
+            )
+        if not any(mean):
+            raise ValueError("SyntheticSpec mean must not be all zeros: +mean and -mean coincide")
+        object.__setattr__(self, "mean", tuple(float(v) for v in mean))
 
 
 @dataclass(frozen=True)
@@ -122,6 +137,8 @@ class FileSource:
     split: float = 0.5
 
     def __post_init__(self):
+        if not isinstance(self.path, (str, os.PathLike)):
+            raise ValueError(f"FileSource path must be a string, got {self.path!r}")
         if not (0.0 < self.split < 1.0):
             raise ValueError("split fraction must lie strictly in (0, 1)")
 
@@ -357,7 +374,7 @@ def summarize(rows) -> str:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _numbers(value, name: str, many: bool = False):
@@ -434,6 +451,8 @@ def spec_from_config(config: dict) -> ExperimentSpec:
         data_unknown = set(data) - {"path", "split"}
         if data_unknown:
             raise ValueError(f"unknown data keys: {sorted(data_unknown)}")
+        if not isinstance(data["path"], str):
+            raise ValueError(f"config 'data.path' must be a string, got {data['path']!r}")
         split = float(_numbers(data.get("split", 0.5), "data.split"))
         kwargs["data"] = FileSource(path=data["path"], split=split)
     elif data:
@@ -450,5 +469,9 @@ def spec_from_config(config: dict) -> ExperimentSpec:
         if key in config:
             kwargs[key] = _integer(config[key], key, least=least)
     if "time_fits" in config:
-        kwargs["time_fits"] = bool(config["time_fits"])
+        if not isinstance(config["time_fits"], bool):
+            raise ValueError(
+                f"config 'time_fits' must be true or false, got {config['time_fits']!r}"
+            )
+        kwargs["time_fits"] = config["time_fits"]
     return ExperimentSpec(**kwargs)

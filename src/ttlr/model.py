@@ -171,11 +171,12 @@ def save_model(model: TTLRModel, path) -> None:
         "t2": model.temps.t2,
         "lambda": model.lam,
         "labels": [float(v) for v in model.labels],
-        "weights": [[float(v) for v in row] for row in model.W],
+        "weights": np.asarray(model.W, dtype=float).tolist(),
     }
+    # json.dumps takes the C encoder; json.dump streams through the Python one.
+    text = json.dumps(payload) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path) -> TTLRModel:

@@ -9,10 +9,25 @@ escort weights P**t2, and it returns those of its last pass alongside G
 (`PartitionRows`), so the loss gradient needs no second pass. Also provided:
 tempered probabilities, escort distributions, and the first and second
 derivatives of G along the binary margin parameterization [a/2, -a/2].
+
+No row's root depends on another row's. An input of at least
+2 * BLOCK_ELEMENTS rows x classes entries is cut into balanced, contiguous
+blocks of rows, each solved into its own slice of the outputs. The blocks
+run on a thread pool, built on first use with one thread per core in the
+process's CPU affinity less one, and on the calling thread, which takes
+blocks from the same queue; numpy releases the GIL inside its loops, so
+the cores work at once. The bytes of every output do not depend on the
+blocks or the core count: under `taskset -c 0` there is no pool and the
+caller solves every block, to the same bytes. Smaller inputs are one
+block, solved in the calling thread.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import queue
+from concurrent import futures
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +50,13 @@ RESIDUAL_TOL = 1e-13
 MAX_ITERATIONS = 200
 # Drop converged rows from the pass once at most this share still iterates.
 _COMPACT_BELOW = 0.5
+# Least rows x classes entries in one block of the parallel solve. Smaller
+# blocks lose to per-pass overhead and GIL hand-offs, larger ones cost memory
+# per thread; 65536 was the fastest of 16384 to 262144 on a 50000 x 10 fit.
+BLOCK_ELEMENTS = 65536
+
+# (id of the process that built it, pool, worker threads): see _executor.
+_pool: tuple = (None, None, 0)
 
 
 class PartitionResult(NamedTuple):
@@ -80,35 +102,70 @@ def log_partition_rows(A: np.ndarray, t2: float) -> PartitionRows:
     p^t2 = p/u, so f' = -sum p/u and f'' = t2 sum p/u^2 cost two divisions.
     The step is Halley's, g - (f/f')/(1 - f f''/(2 f'^2)), replaced by
     bisection of the bracket where it is not finite or leaves the bracket.
+
+    Inputs of at least 2 * BLOCK_ELEMENTS entries are cut into contiguous
+    blocks of rows, solved on the worker pool and the calling thread at
+    once (see _solve_blocks). Every row is solved on its own, so the output
+    bytes do not depend on the blocks or the number of cores.
     Assumes finite input; callers validate.
     """
     validate_temperature(t2)
     A = np.asarray(A, dtype=float)
     n, c = A.shape
+    closed = abs(1.0 - t2) < T_SWITCH
+    # The upper end of the bracket is found here, in the calling thread: the
+    # blocks may run on other threads and call no public function.
+    top = 0.0 if closed else -log_t(1.0 / c, t2)
+    P = np.empty((n, c))
+    out = PartitionRows(
+        np.empty(n), np.empty(n), np.zeros(n, dtype=np.int64), P, P if closed else np.empty((n, c))
+    )
+    blocks = (n * c) // BLOCK_ELEMENTS
+    if blocks < 2:
+        _solve_rows(A, t2, top, out)
+    else:
+        edges = [n * i // blocks for i in range(blocks + 1)]
+        _solve_blocks(
+            [(A[lo:hi], t2, top, PartitionRows(*(x[lo:hi] for x in out)))
+             for lo, hi in zip(edges, edges[1:])]
+        )
+    return out
+
+
+def _solve_rows(A: np.ndarray, t2: float, top: float, out: PartitionRows) -> None:
+    """log_partition_rows on the rows of A, written into the rows of out.
+
+    top = -log_t2(1/C) is the upper end of the shifted bracket. Runs on any
+    thread: it calls numpy and private helpers only.
+    """
+    n = A.shape[0]
+    G, res, iters, P, powered = out
     m = _row_max(A)
     B = A - m[:, None]
 
     if abs(1.0 - t2) < T_SWITCH:
-        # Closed form: shifted log-sum-exp.
+        # Closed form: shifted log-sum-exp; powered is P.
         g = np.log(row_sum(np.exp(B)))
-        P = np.exp(B - g[:, None])
-        res = np.abs(row_sum(P) - 1.0)
-        return PartitionRows(g + m, res, np.zeros(n, dtype=np.int64), P, P)
+        np.exp(np.subtract(B, g[:, None], out=P), out=P)
+        np.abs(row_sum(P) - 1.0, out=res)
+        np.add(g, m, out=G)
+        return
 
     k = 1.0 - t2
-    G = np.empty(n)
-    iters = np.zeros(n, dtype=np.int64)
     # Rows of the pass, B[sel], with their iterate g and bracket [lo, hi].
     sel, Bs = np.arange(n), B
     g, lo = np.zeros(n), np.zeros(n)
     # The upper end is the root itself when all C activations tie; widen it
     # by a relative 1e-12 so a step landing on that root to within rounding
     # is not taken for one leaving the bracket.
-    hi = np.full(n, -log_t(1.0 / c, t2) * (1.0 + 1e-12))
+    hi = np.full(n, top * (1.0 + 1e-12))
     it = 0
     while True:
+        # While every row is in the pass, p and p/u go straight into P and
+        # powered; after that the rows of the pass are scattered there.
+        full = sel.size == n
         # p = exp_t2(Bs - g), evaluated as tempered.exp_t evaluates it
-        kx = Bs - g[:, None]
+        kx = np.subtract(Bs, g[:, None], out=P if full else None)
         kx *= k
         if k > 0.0:
             # Off the t2 < 1 support (kx <= -1) p is 0: evaluate those entries
@@ -122,16 +179,17 @@ def log_partition_rows(A: np.ndarray, t2: float) -> PartitionRows:
         np.exp(p, out=p)
         if k > 0.0:
             p *= on
-        pw = p / u
+        pw = np.divide(p, u, out=powered if full else None)
         f = row_sum(p) - 1.0
-        if sel.size == n:
-            P, powered, res = p, pw, np.abs(f)
+        if full:
+            np.abs(f, out=res)
         else:
             P[sel], powered[sel], res[sel] = p, pw, np.abs(f)
         active = np.abs(f) > RESIDUAL_TOL
         if not active.any():
             G[sel] = g
-            return PartitionRows(G + m, res, iters, P, powered)
+            G += m
+            return
         if it == MAX_ITERATIONS:
             raise RuntimeError(
                 "normalizer root finding failed to reach tolerance "
@@ -155,6 +213,58 @@ def log_partition_rows(A: np.ndarray, t2: float) -> PartitionRows:
             G[sel] = g
             sel, g, lo, hi = sel[active], g[active], lo[active], hi[active]
             Bs = B.take(sel, axis=0)
+
+
+def _solve_blocks(blocks: list) -> None:
+    """Run _solve_rows on every argument tuple in blocks, on all cores.
+
+    The pool's workers and the calling thread take blocks from one queue
+    until it is empty; the caller then waits for the workers and re-raises
+    the first error of any block. Each worker runs in a copy of the caller's
+    context, so numpy's errstate there is the caller's.
+    """
+    todo = queue.SimpleQueue()
+    for block in blocks:
+        todo.put(block)
+    pool, workers = _executor()
+    helpers = [
+        pool.submit(contextvars.copy_context().run, _drain, todo)
+        for _ in range(min(workers, len(blocks) - 1))
+    ]
+    try:
+        _drain(todo)
+    finally:
+        futures.wait(helpers)
+    for helper in helpers:
+        helper.result()
+
+
+def _drain(todo: queue.SimpleQueue) -> None:
+    while True:
+        try:
+            block = todo.get_nowait()
+        except queue.Empty:
+            return
+        _solve_rows(*block)
+
+
+def _executor() -> tuple[futures.ThreadPoolExecutor | None, int]:
+    """The process's worker pool and its thread count: one thread per core
+    this process may run on, less the calling thread; no pool on one core.
+
+    Built on first use, and again in a forked child, whose copy of the
+    parent's pool has no threads behind it. Two threads that race here may
+    both build one; the pool left unreferenced shuts down when collected.
+    """
+    global _pool
+    if _pool[0] != os.getpid():
+        try:
+            workers = len(os.sched_getaffinity(0)) - 1
+        except AttributeError:  # no affinity mask on this platform
+            workers = (os.cpu_count() or 1) - 1
+        pool = futures.ThreadPoolExecutor(workers, "ttlr-partition") if workers else None
+        _pool = (os.getpid(), pool, workers)
+    return _pool[1:]
 
 
 def row_sum(X: np.ndarray) -> np.ndarray:

@@ -277,3 +277,18 @@ def test_dataset_validates_labels():
         Dataset(X, np.array([0, 1]), num_classes=2)
     with pytest.raises(ValueError):
         Dataset(X, np.array([1]), num_classes=1)
+
+
+@pytest.mark.parametrize(
+    "y, bad",
+    [([1.5, 2.0], "1.5 at index 0"), ([1.0, np.nan], "nan at index 1"), ([2, np.inf], "inf at index 1")],
+)
+def test_dataset_rejects_fractional_labels(y, bad):
+    # np.int64 would silently truncate 1.5 to class 1
+    with pytest.raises(ValueError, match=f"labels must be integers, got {bad}"):
+        Dataset(np.ones((2, 1)), y, num_classes=2)
+
+
+def test_dataset_accepts_integer_valued_float_labels():
+    data = Dataset(np.ones((2, 1)), [2.0, 1.0], num_classes=2)
+    assert data.y.dtype == np.int64 and data.y.tolist() == [2, 1]

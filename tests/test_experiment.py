@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -101,6 +102,10 @@ def test_cross_val_spec_rejects_nonfinite_grid_entries():
          "ExperimentSpec repetitions must be an integer >= 1, got True"),
         (lambda: CrossValSpec(folds=2.5), "CrossValSpec folds must be an integer >= 2, got 2.5"),
         (lambda: CrossValSpec(folds=1), "CrossValSpec folds must be an integer >= 2, got 1"),
+        (lambda: SyntheticSpec(train_per_class=2.5),
+         "SyntheticSpec train_per_class must be an integer >= 1, got 2.5"),
+        (lambda: SyntheticSpec(test_per_class=0),
+         "SyntheticSpec test_per_class must be an integer >= 1, got 0"),
     ],
 )
 def test_specs_built_directly_name_a_bad_count(build, message):
@@ -109,10 +114,34 @@ def test_specs_built_directly_name_a_bad_count(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SyntheticSpec(mean="ab"),
+         "SyntheticSpec mean must be a nonempty list of finite numbers, got 'ab'"),
+        (lambda: SyntheticSpec(mean=(float("nan"), 0.0)),
+         "SyntheticSpec mean must be a nonempty list of finite numbers, got (nan, 0.0)"),
+        (lambda: SyntheticSpec(mean=(2.0, True)),
+         "SyntheticSpec mean must be a nonempty list of finite numbers, got (2.0, True)"),
+        (lambda: SyntheticSpec(mean=()),
+         "SyntheticSpec mean must be a nonempty list of finite numbers, got ()"),
+        (lambda: SyntheticSpec(mean=[0.0, -0.0]), "SyntheticSpec mean must not be all zeros"),
+        # an int path would open a file descriptor
+        (lambda: FileSource(99), "FileSource path must be a string, got 99"),
+    ],
+)
+def test_specs_built_directly_name_a_bad_field(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
 def test_specs_built_directly_keep_integer_counts():
     spec = tiny_spec(seed=np.int64(3), repetitions=2.0, cv=CrossValSpec(folds=3.0))
     assert (spec.seed, spec.repetitions, spec.cv.folds) == (3, 2, 3)
     assert all(type(v) is int for v in (spec.seed, spec.repetitions, spec.cv.folds))
+    data = SyntheticSpec(train_per_class=4.0, test_per_class=np.int64(5), mean=np.array([1, 0]))
+    assert (data.train_per_class, data.test_per_class, data.mean) == (4, 5, (1.0, 0.0))
+    assert FileSource(pathlib.Path("x.svm")).path == pathlib.Path("x.svm")
 
 
 def test_noise_settings_reject_nan():
@@ -435,6 +464,9 @@ def test_spec_from_config_names_a_mistyped_number():
         ({"repetitions": "2"}, "repetitions"),
         ({"seed": [1]}, "seed"),
         ({"noise": {"levels": [0.1, "0.2"]}}, "noise.levels"),
+        ({"data": {"path": 99}}, "data.path"),
+        ({"time_fits": "no"}, "time_fits"),
+        ({"time_fits": 1}, "time_fits"),
     ):
         with pytest.raises(ValueError, match=f"config '{where}' must be"):
             spec_from_config({"methods": ["plain_lr"], **cfg})

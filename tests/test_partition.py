@@ -1,7 +1,14 @@
 """Normalization solver, tempered probabilities, and partition derivatives."""
 
+import hashlib
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -255,14 +262,140 @@ def test_iteration_cap_raises(monkeypatch):
 
 def test_no_floating_point_warnings():
     # classes off the t2 < 1 support, all-tied rows and +-1e4 activations:
-    # none of them may make the fused pass raise a RuntimeWarning
+    # none of them may make the fused pass raise a RuntimeWarning, in the
+    # calling thread or in the blocks of a large input
     rng = np.random.default_rng(37)
     a = np.concatenate([rng.uniform(-50.0, 50.0, size=(100, 5)), np.zeros((3, 5))])
     a[0] = [0.0, -1e4, -1e4, 1e4, 1e4]
     y = rng.integers(1, 6, size=a.shape[0])
+    blocked = np.tile(a, (3 * partition.BLOCK_ELEMENTS // a.size + 1, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for t2 in (0.01, 0.2, 0.6, 0.9999, 1.0, 1.6, 1.99):
             log_partition_rows(a, t2)
+            log_partition_rows(blocked, t2)
             margin_derivatives(np.linspace(-1e4, 1e4, 41), t2)
             activation_terms(a, y, (0.6, t2))
+
+
+def _blocked_input():
+    """3 blocks of rows at mixed scales, with all-tied rows and +-1e4 rows."""
+    rng = np.random.default_rng(41)
+    n, c = 3 * partition.BLOCK_ELEMENTS // 10 + 7, 10
+    a = rng.standard_normal((n, c)) * rng.choice([1e-3, 1.0, 30.0], size=(n, 1))
+    a[::50] = 0.0
+    a[7::50] = rng.choice([-1e4, 1e4], size=a[7::50].shape)
+    return a
+
+
+def _assert_same_bytes(got, want):
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("t2", [0.2, 0.6, 1.0, 1.6, 1.99])
+def test_blocked_solve_is_byte_identical(monkeypatch, t2):
+    a = _blocked_input()
+    blocked = log_partition_rows(a, t2)
+    assert (blocked.P is blocked.powered) == (t2 == 1.0)
+    with monkeypatch.context() as m:
+        m.setattr(partition, "BLOCK_ELEMENTS", a.size)
+        _assert_same_bytes(blocked, log_partition_rows(a, t2))
+    with monkeypatch.context() as m:
+        m.setattr(partition, "_executor", lambda: (None, 0))
+        _assert_same_bytes(blocked, log_partition_rows(a, t2))
+    with ThreadPoolExecutor(3) as pool, monkeypatch.context() as m:
+        m.setattr(partition, "_executor", lambda: (pool, 3))
+        _assert_same_bytes(blocked, log_partition_rows(a, t2))
+
+
+def test_blocked_solve_under_thread_switching(monkeypatch):
+    # more workers than cores and a thread switch every microsecond: a block
+    # solved twice or lost would change the bytes (lost rows stay unwritten)
+    a = _blocked_input()[:4000, :4]
+    want = log_partition_rows(a, 1.6)
+    monkeypatch.setattr(partition, "BLOCK_ELEMENTS", 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            monkeypatch.setattr(partition, "_executor", lambda: (pool, 8))
+            for _ in range(5):
+                _assert_same_bytes(log_partition_rows(a, 1.6), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_iteration_cap_raises_from_any_block(monkeypatch):
+    a = _blocked_input()
+    monkeypatch.setattr(partition, "MAX_ITERATIONS", 1)
+    with pytest.raises(RuntimeError, match="within 1 iterations"):
+        log_partition_rows(a, 1.6)
+    # a block that fails on a worker thread fails the call; the pool stays usable
+    solve = partition._solve_rows
+
+    def fail_off_main(*args):
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.05)  # leave blocks for the workers
+            return solve(*args)
+        raise RuntimeError("block failed on a worker")
+
+    monkeypatch.undo()
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(partition, "_executor", lambda: (pool, 2))
+        monkeypatch.setattr(partition, "_solve_rows", fail_off_main)
+        with pytest.raises(RuntimeError, match="block failed on a worker"):
+            log_partition_rows(a, 1.6)
+        monkeypatch.setattr(partition, "_solve_rows", solve)
+        assert np.max(log_partition_rows(a, 1.6).residual) <= RESIDUAL_TOL
+
+
+def test_public_functions_run_on_the_calling_thread_only(monkeypatch):
+    # perfbench's tracer wraps these names and keeps one span stack, which a
+    # call from a worker thread would corrupt
+    callers = []
+    for name in ("log_t", "log_partition_rows", "tempered_probs_rows", "escort_rows"):
+        original = getattr(partition, name)
+
+        def record(*args, _original=original, **kwargs):
+            callers.append(threading.current_thread())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(partition, name, record)
+    with ThreadPoolExecutor(3) as pool:
+        monkeypatch.setattr(partition, "_executor", lambda: (pool, 3))
+        for t2 in (0.6, 1.0, 1.6):
+            partition.log_partition_rows(_blocked_input(), t2)
+    assert callers and all(t is threading.main_thread() for t in callers)
+
+
+def _digest(rows):
+    return hashlib.sha256(b"".join(x.tobytes() for x in rows)).hexdigest()
+
+
+def test_forked_child_rebuilds_the_pool(monkeypatch):
+    # the child inherits the parent's pool object but none of its threads:
+    # work handed to it would never run
+    a = _blocked_input()
+    pool = ThreadPoolExecutor(2)
+    pool.submit(int).result()
+    monkeypatch.setattr(partition, "_pool", (os.getpid(), pool, 2))
+    want = _digest(log_partition_rows(a, 1.6))
+    recv, send = multiprocessing.Pipe(duplex=False)
+
+    def child():
+        send.send(_digest(log_partition_rows(a, 1.6)))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with live threads
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+    try:
+        assert recv.poll(60), "forked child did not finish the blocked solve"
+        assert recv.recv() == want
+        proc.join(60)
+        assert not proc.is_alive() and proc.exitcode == 0
+    finally:
+        if proc.is_alive():
+            proc.kill()
+        pool.shutdown()
