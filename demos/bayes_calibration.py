@@ -12,7 +12,7 @@ import numpy as np
 
 from ttlr import TemperaturePair, bayes_binary_check, bayes_multiclass_check, tempered_probs
 
-print("binary: a*(eta), numeric grid+golden search vs closed form")
+print("binary: a*(eta), two-class multiclass oracle vs closed form")
 print("eta    t=(1,1) numeric  closed      t=(0.6,1.6) numeric  closed")
 for eta in (0.1, 0.25, 0.5, 0.75, 0.9):
     logistic = bayes_binary_check(eta, TemperaturePair(1.0, 1.0))

@@ -4,9 +4,10 @@ Works in the binary margin parameterization (activations [a/2, -a/2], label
 c = +1 unless stated). The first derivative of the loss is the training
 kernel's activation gradient along that embedding, the second a closed form;
 both are checked against finite differences in `verify`. Here they drive
-regime classification and inflection search, and two oracles verify that
-minimizing the expected loss recovers the class posterior's argmax. The
-multiclass oracle polishes on the p-weighted training kernel itself.
+regime classification and inflection search. One oracle verifies that
+minimizing the expected loss recovers the class posterior's argmax: the
+multiclass check, which polishes on the p-weighted training kernel itself.
+The binary check is its two-class case, read as a margin.
 """
 
 from __future__ import annotations
@@ -49,6 +50,20 @@ def is_convex_pair(temps) -> bool:
 _MARGIN_EMBEDDING = np.array([[0.5, -0.5]])
 
 
+def _margins(a) -> np.ndarray:
+    """Margins as an at-least-1-d float array; a non-finite margin is refused."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise ValueError(f"margin {a.flat[bad[0]]!r} at index {bad[0]} is not finite")
+    return a
+
+
+def _bounds(lo: float, hi: float) -> None:
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite bounds lo < hi, got lo={lo!r}, hi={hi!r}")
+
+
 def margin_losses(a, temps, c: int = 1) -> np.ndarray:
     """Binary loss values over an array of margins for label c in {+1, -1}.
 
@@ -57,7 +72,7 @@ def margin_losses(a, temps, c: int = 1) -> np.ndarray:
     """
     if c not in (1, -1):
         raise ValueError("binary label must be +1 or -1")
-    a = np.atleast_1d(np.asarray(a, dtype=float))
+    a = _margins(a)
     y = np.full(a.size, 1 if c == 1 else 2)
     return batch_losses(a[:, None], y, _MARGIN_EMBEDDING, temps)
 
@@ -67,7 +82,7 @@ def loss_first_derivative(a, temps):
 
     Equals -p^(t2-t1) (1/2 - dG/da); exactly 0 on the p = 0 plateau.
     """
-    A = np.atleast_1d(np.asarray(a, dtype=float))[:, None] @ _MARGIN_EMBEDDING
+    A = _margins(a)[:, None] @ _MARGIN_EMBEDDING
     _, dA = activation_terms(A, np.ones(A.shape[0], dtype=np.int64), temps)
     out = (dA @ _MARGIN_EMBEDDING.T)[:, 0]
     return out if np.ndim(a) else float(out[0])
@@ -94,7 +109,7 @@ def loss_second_derivative(a, temps):
     Returns exactly 0 inside the p = 0 plateau, where the loss is constant.
     """
     temps = as_pair(temps)
-    p, balance = _curvature_balance(a, temps)
+    p, balance = _curvature_balance(_margins(a), temps)
     out = np.zeros_like(p)
     pos = p > 0.0
     out[pos] = np.power(p[pos], temps.gap) * balance[pos]
@@ -103,7 +118,7 @@ def loss_second_derivative(a, temps):
 
 def inflection_residual(a: float, temps) -> float:
     """Residual of d2G = (t2-t1) p^(t2-1) (1/2 - dG)^2 at a point; 0 on the plateau."""
-    return float(_curvature_balance(a, as_pair(temps))[1][0])
+    return float(_curvature_balance(_margins(a), as_pair(temps))[1][0])
 
 
 def _bisect(holds, lo: float, hi: float) -> float:
@@ -168,8 +183,7 @@ def find_inflection(temps, lo: float, hi: float) -> list:
             f"(t1, t2) = ({temps.t1}, {temps.t2}) is a convex regime; "
             "there is no inflection to find"
         )
-    if not (lo < hi):
-        raise ValueError("need lo < hi")
+    _bounds(lo, hi)
     grid = np.linspace(lo, hi, 4001)
     points = [float(a) for a in _scan_inflections(temps, grid)]
     for a in points:
@@ -203,8 +217,7 @@ def curvature_report(temps, lo: float = -10.0, hi: float = 10.0) -> CurvatureRep
     quasi-convexity from the t1 < 1 cap is caught without analytic formulas.
     """
     temps = as_pair(temps)
-    if not (lo < hi):
-        raise ValueError("need lo < hi")
+    _bounds(lo, hi)
     grid = np.linspace(lo, hi, 2001)
     h = grid[1] - grid[0]
     values = margin_losses(grid, temps)
@@ -236,52 +249,19 @@ class BayesCheck:
     sign_consistent: bool
 
 
-def _expected_binary_loss(a, eta: float, temps: TemperaturePair) -> np.ndarray:
-    return eta * margin_losses(a, temps, c=1) + (1.0 - eta) * margin_losses(
-        a, temps, c=-1
-    )
-
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_refine(fun, lo: float, hi: float, tol: float) -> float:
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    while (hi - lo) > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = fun(d)
-    return 0.5 * (lo + hi)
-
-
 def bayes_binary_check(eta: float, temps) -> BayesCheck:
-    """Numeric argmin of the expected binary loss against its closed form.
+    """The two-class multiclass oracle at posterior [eta, 1 - eta], as a margin.
 
-    Coarse grid of 10^4 points on [-50, 50] (the expected loss can be nearly
-    flat near plateaus), then golden-section refinement to an interval of 1e-8. The
-    closed form is log_t2 of the tilted posterior ratio: with z_c =
+    The numeric minimizer is a_star[0] - a_star[1] of `bayes_multiclass_check`.
+    The closed form is log_t2 of the tilted posterior ratio: with z_c =
     eta_c^(1/t1) and Z = z_+ + z_-, a* = log_t2(z_+/Z) - log_t2(z_-/Z).
     """
     temps = as_pair(temps)
+    eta = float(eta)
     if not (0.0 < eta < 1.0):
         raise ValueError("eta must lie strictly in (0, 1)")
-    grid = np.linspace(-50.0, 50.0, 10_000)
-    vals = _expected_binary_loss(grid, eta, temps)
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-
-    def fun(a):
-        return float(_expected_binary_loss(np.array([a]), eta, temps)[0])
-
-    a_num = _golden_refine(fun, float(lo), float(hi), 1e-8)
+    a_star = bayes_multiclass_check([eta, 1.0 - eta], temps).a_star
+    a_num = float(a_star[0] - a_star[1])
     z_pos = eta ** (1.0 / temps.t1)
     z_neg = (1.0 - eta) ** (1.0 / temps.t1)
     z_total = z_pos + z_neg
@@ -322,8 +302,8 @@ def bayes_multiclass_check(p, temps) -> MulticlassBayesCheck:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise ValueError("p must be a 1-d vector with at least 2 classes")
-    if np.any(p <= 0.0):
-        raise ValueError("p must be strictly positive")
+    if not np.all(np.isfinite(p) & (p > 0.0)):
+        raise ValueError(f"p must be finite and strictly positive, got {p.tolist()}")
     if abs(p.sum() - 1.0) > 1e-8:
         raise ValueError("p must sum to 1")
     c = p.size

@@ -13,6 +13,7 @@ from ttlr.analysis import (
     curvature_report,
     curvature_to_csv,
     find_inflection,
+    inflection_residual,
     is_convex_pair,
     loss_first_derivative,
     loss_second_derivative,
@@ -174,10 +175,21 @@ def test_bayes_binary_logistic_oracle():
     assert chk.sign_consistent
 
 
+@pytest.mark.parametrize("temps", [(1.0, 1.0), (1.0, 1.6), (0.6, 1.6), (1.3, 1.0)])
+def test_bayes_binary_is_the_two_class_multiclass_check(temps):
+    # the binary margin is the difference of the two-class activations, and
+    # that oracle lands on the closed form far inside criterion 6's 1e-5
+    for eta in (0.05, 0.25, 0.5, 0.9):
+        chk = bayes_binary_check(eta, temps)
+        a_star = bayes_multiclass_check([eta, 1.0 - eta], temps).a_star
+        assert chk.a_star_numeric == a_star[0] - a_star[1], (temps, eta)
+        assert abs(chk.a_star_numeric - chk.a_star_closed_form) <= 1e-9, (temps, eta)
+
+
 def test_bayes_binary_closed_form_independent_recompute():
     # z_c = eta_c^(1/t1), a* = log_t2(z+/Z) - log_t2(z-/Z), done here in
-    # plain math-module arithmetic
-    eta, t1, t2 = 0.9, 0.6, 1.6
+    # plain math-module arithmetic; a numpy eta still yields plain scalars
+    eta, t1, t2 = np.float64(0.9), 0.6, 1.6
     zp, zm = eta ** (1.0 / t1), (1.0 - eta) ** (1.0 / t1)
     z = zp + zm
 
@@ -188,6 +200,10 @@ def test_bayes_binary_closed_form_independent_recompute():
     chk = bayes_binary_check(eta, TemperaturePair(t1, t2))
     assert chk.a_star_closed_form == pytest.approx(expected, abs=1e-12)
     assert abs(chk.a_star_numeric - chk.a_star_closed_form) <= 1e-5
+    assert type(chk.eta) is float
+    assert type(chk.a_star_numeric) is float
+    assert type(chk.a_star_closed_form) is float
+    assert type(chk.sign_consistent) is bool
 
 
 def test_bayes_binary_balanced_posterior_is_zero():
@@ -282,6 +298,30 @@ def test_bayes_multiclass_validates_input():
         bayes_multiclass_check(np.array([1.0, 0.0]), TemperaturePair(1.0, 1.0))
     with pytest.raises(ValueError):
         bayes_multiclass_check(np.array([1.0]), TemperaturePair(1.0, 1.0))
+    for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="p must be finite and strictly positive"):
+            bayes_multiclass_check(bad, TemperaturePair(0.6, 1.6))
+
+
+@pytest.mark.parametrize(
+    "helper",
+    [margin_losses, loss_first_derivative, loss_second_derivative, inflection_residual],
+)
+@pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf, [0.0, np.nan]])
+@pytest.mark.parametrize("temps", [(0.6, 1.6), (1.0, 1.0)])
+def test_margin_helpers_reject_non_finite_margins(helper, a, temps):
+    with pytest.raises(ValueError, match="is not finite"):
+        helper(a, temps)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(-np.inf, 5.0), (-5.0, np.inf), (np.nan, 5.0), (-5.0, np.nan), (5.0, -5.0)]
+)
+def test_scans_reject_non_finite_or_unordered_bounds(lo, hi):
+    with pytest.raises(ValueError, match="need finite bounds lo < hi"):
+        find_inflection((0.6, 1.6), lo, hi)
+    with pytest.raises(ValueError, match="need finite bounds lo < hi"):
+        curvature_report((0.6, 1.6), lo, hi)
 
 
 def test_csv_serializers_round_trip():
