@@ -1,13 +1,15 @@
 """Command-line harness: train, predict, sweep, verify, noise.
 
 One concern per subcommand; every command is scriptable and seed-driven.
-Data errors and invalid configurations exit with status 2 and a descriptive
-message; verification failures exit with status 1.
+Every rejected input, from a helper here or from the library, reaches main
+as a ValueError or OSError, whose message goes to stderr with exit status 2.
+Exit status 1 means only that a verification suite failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -30,9 +32,9 @@ def _load_dataset(path: str, dim: int | None = None):
         with open(path, "r", encoding="utf-8") as fh:
             return parse_libsvm(fh, dim=dim)
     except OSError as exc:
-        raise SystemExit(f"cannot read {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     except DataFormatError as exc:
-        raise SystemExit(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_out(text: str, out: str | None):
@@ -73,24 +75,21 @@ def _cmd_sweep(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
     except OSError as exc:
-        raise SystemExit(f"cannot read {args.config}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read {args.config}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"{args.config} is not valid JSON: {exc}") from exc
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.time:
-        config["time_fits"] = True
+        raise ValueError(f"{args.config} is not valid JSON: {exc}") from exc
     try:
         spec = spec_from_config(config)
-    except (ValueError, TypeError) as exc:
-        raise SystemExit(f"invalid experiment config: {exc}") from exc
+        if args.seed is not None:
+            spec = dataclasses.replace(spec, seed=args.seed)
+        if args.time:
+            spec = dataclasses.replace(spec, time_fits=True)
+    except ValueError as exc:
+        raise ValueError(f"invalid experiment config: {exc}") from exc
     rows = run_experiment(spec)
-    payload = rows_to_json(rows) if args.format == "json" else rows_to_csv(rows)
+    _write_out(rows_to_json(rows) if args.format == "json" else rows_to_csv(rows), args.out)
     if args.out is not None:
-        _write_out(payload, args.out)
         print(f"{len(rows)} rows written to {args.out}")
-    else:
-        sys.stdout.write(payload)
     print(summarize(rows))
     return 0
 
@@ -107,11 +106,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_noise(args) -> int:
     data = _load_dataset(args.data)
-    try:
-        spec = NoiseSpec(kind=args.kind, level=args.level, seed=args.seed, sigma=args.sigma)
-        noisy = spec.apply(data)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+    spec = NoiseSpec(kind=args.kind, level=args.level, seed=args.seed, sigma=args.sigma)
+    noisy = spec.apply(data)
     _write_out(serialize_libsvm(noisy), args.out)
     if args.out is not None:
         print(f"{noisy.n} examples written to {args.out}")
@@ -175,13 +171,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
-        raise
     except (ValueError, OSError) as exc:
-        # contract violations from the library surface as clean diagnostics
+        # the one channel for rejected input, from these helpers and the library
         print(exc, file=sys.stderr)
         return 2
 

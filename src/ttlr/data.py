@@ -100,6 +100,8 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)
+        if indices.size == 0 and indices.dtype != bool:  # np.asarray([]) is float
+            indices = indices.astype(np.intp)
         return Dataset(
             self.X[indices], self.y[indices], self.num_classes, self.label_table
         )
@@ -122,15 +124,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in self.VALID_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        # NaN fails every comparison, so each check is written to pass only valid values
-        if self.kind == "random_flip":
-            if not (0.0 <= self.level <= 1.0):
-                raise ValueError(f"noise level (flip probability) must lie in [0, 1], "
-                                 f"got {self.level!r}")
-        elif not (0.0 <= self.level <= 0.5):
-            raise ValueError(f"noise level (ratio) must lie in [0, 0.5], got {self.level!r}")
-        if self.kind == "outlier" and not (np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"noise sigma must be finite and > 0, got {self.sigma!r}")
+        _check_noise(self.kind, self.level, self.sigma)
 
     def apply(self, data: Dataset) -> Dataset:
         if self.level == 0.0:
@@ -140,6 +134,17 @@ class NoiseSpec:
         if self.kind == "random_flip":
             return inject_random_flip(data, self.level, self.seed)
         return inject_margin_flip(data, self.level, self.seed)
+
+
+def _check_noise(kind: str, level: float, sigma: float | None = None) -> None:
+    """Reject a level, or an outlier sigma, outside its kind's range; NaN fails every check."""
+    if kind == "random_flip":
+        if not (0.0 <= level <= 1.0):
+            raise ValueError(f"noise level (flip probability) must lie in [0, 1], got {level!r}")
+    elif not (0.0 <= level <= 0.5):
+        raise ValueError(f"noise level (ratio) must lie in [0, 0.5], got {level!r}")
+    if kind == "outlier" and not (np.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"noise sigma must be finite and > 0, got {sigma!r}")
 
 
 def format_number(v: float) -> str:
@@ -274,10 +279,7 @@ def inject_outlier_noise(data: Dataset, sigma: float, ratio: float, seed: int) -
     Rows are chosen uniformly without replacement; labels are untouched. The
     perturbed rows densify (noise lands on zero coordinates too).
     """
-    if not (0.0 <= ratio <= 0.5):
-        raise ValueError("ratio must lie in [0, 0.5]")
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+    _check_noise("outlier", ratio, sigma)
     k = int(np.floor(ratio * data.n))
     if k == 0:
         return data
@@ -293,8 +295,7 @@ def inject_random_flip(data: Dataset, prob: float, seed: int) -> Dataset:
     """Flip each binary label independently with the given probability."""
     if data.num_classes != 2:
         raise ValueError("random label flips are defined for 2 classes only")
-    if not (0.0 <= prob <= 1.0):
-        raise ValueError("prob must lie in [0, 1]")
+    _check_noise("random_flip", prob)
     rng = np.random.default_rng(seed)
     flip = rng.random(data.n) < prob
     y = data.y.copy()

@@ -24,6 +24,7 @@ import numpy as np
 from .data import DataFormatError, Dataset, NoiseSpec, parse_libsvm, synth_gaussians
 from .loss import TemperaturePair
 from .model import FitConfig, TTLRModel, fit, predict
+from .tempered import validate_count
 
 __all__ = [
     "MethodSpec",
@@ -58,19 +59,6 @@ def default_lambda_grid(points: int = 13) -> tuple:
     """Log-spaced ridge weights spanning the full allowed range."""
     lo, hi = LAMBDA_RANGE
     return tuple(float(v) for v in np.logspace(np.log10(lo), np.log10(hi), points))
-
-
-def _count(value, name: str, least: int) -> int:
-    """value as an int of at least `least`, else an error naming the field.
-
-    Integers and integer-valued floats pass; bools, fractions and NaN do not.
-    """
-    whole = isinstance(value, numbers.Integral) or (
-        isinstance(value, float) and value.is_integer()
-    )
-    if isinstance(value, bool) or not whole or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -113,7 +101,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name in ("train_per_class", "test_per_class"):
-            count = _count(getattr(self, name), f"SyntheticSpec {name}", 1)
+            count = validate_count(getattr(self, name), f"SyntheticSpec {name}", 1)
             object.__setattr__(self, name, count)
         mean = self.mean
         if not (
@@ -149,7 +137,7 @@ class CrossValSpec:
     lambda_grid: tuple = field(default_factory=default_lambda_grid)
 
     def __post_init__(self):
-        object.__setattr__(self, "folds", _count(self.folds, "CrossValSpec folds", 2))
+        object.__setattr__(self, "folds", validate_count(self.folds, "CrossValSpec folds", 2))
         grid = tuple(float(v) for v in self.lambda_grid)
         if not grid:
             raise ValueError("lambda grid is empty")
@@ -190,10 +178,9 @@ class ExperimentSpec:
             # range checks live in NoiseSpec; fail before the run starts
             NoiseSpec(self.noise_kind, level, seed=0, sigma=self.noise_sigma)
         object.__setattr__(self, "noise_levels", levels)
-        object.__setattr__(
-            self, "repetitions", _count(self.repetitions, "ExperimentSpec repetitions", 1)
-        )
-        object.__setattr__(self, "seed", _count(self.seed, "ExperimentSpec seed", 0))
+        reps = validate_count(self.repetitions, "ExperimentSpec repetitions", 1)
+        object.__setattr__(self, "repetitions", reps)
+        object.__setattr__(self, "seed", validate_count(self.seed, "ExperimentSpec seed", 0))
         if not isinstance(self.data, (SyntheticSpec, FileSource)):
             raise ValueError("data must be a SyntheticSpec or FileSource")
 
@@ -387,14 +374,15 @@ def _numbers(value, name: str, many: bool = False):
     raise ValueError(f"config '{name}' must be {kind}, got {value!r}")
 
 
-def _integer(value, name: str, least: int | None = None) -> int:
-    """value as an integer-valued number (at least `least`), else a located error."""
-    number = _numbers(value, name)
-    fractional = isinstance(number, float) and not number.is_integer()
-    if fractional or (least is not None and number < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"config '{name}' must be an integer{bound}, got {value!r}")
-    return int(number)
+def _section(config: dict, key: str, keys) -> dict:
+    """config[key] (default empty) as a JSON object holding only `keys`, else a located error."""
+    section = config.get(key, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config '{key}' must be a JSON object, got {section!r}")
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {key} keys: {sorted(unknown)}")
+    return section
 
 
 def spec_from_config(config: dict) -> ExperimentSpec:
@@ -419,55 +407,42 @@ def spec_from_config(config: dict) -> ExperimentSpec:
     methods = config["methods"]
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ValueError(f"config 'methods' must be a list of strings, got {methods!r}")
-    for key in ("noise", "cv", "data"):
-        if not isinstance(config.get(key, {}), dict):
-            raise ValueError(f"config '{key}' must be a JSON object, got {config[key]!r}")
     kwargs = {"methods": tuple(methods)}
-    noise = config.get("noise", {})
+    noise = _section(config, "noise", ("kind", "levels", "sigma"))
     if noise:
-        noise_unknown = set(noise) - {"kind", "levels", "sigma"}
-        if noise_unknown:
-            raise ValueError(f"unknown noise keys: {sorted(noise_unknown)}")
         kwargs["noise_kind"] = noise.get("kind", "outlier")
         kwargs["noise_levels"] = _numbers(noise.get("levels", [0.0]), "noise.levels", many=True)
         if "sigma" in noise:
             kwargs["noise_sigma"] = float(_numbers(noise["sigma"], "noise.sigma"))
-    cv = config.get("cv", {})
+    cv = _section(config, "cv", ("folds", "lambda_grid", "lambda_points"))
     if cv:
-        cv_unknown = set(cv) - {"folds", "lambda_grid", "lambda_points"}
-        if cv_unknown:
-            raise ValueError(f"unknown cv keys: {sorted(cv_unknown)}")
         grid = cv.get("lambda_grid")
         if grid is not None and "lambda_points" in cv:
             raise ValueError("give either lambda_grid or lambda_points, not both")
         if grid is None:
-            points = _integer(cv.get("lambda_points", 13), "cv.lambda_points", least=1)
+            points = validate_count(cv.get("lambda_points", 13), "config 'cv.lambda_points'", 1)
             grid = default_lambda_grid(points)
         else:
             grid = _numbers(grid, "cv.lambda_grid", many=True)
-        kwargs["cv"] = CrossValSpec(_integer(cv.get("folds", 5), "cv.folds"), grid)
-    data = config.get("data", {})
-    if "path" in data:
-        data_unknown = set(data) - {"path", "split"}
-        if data_unknown:
-            raise ValueError(f"unknown data keys: {sorted(data_unknown)}")
+        kwargs["cv"] = CrossValSpec(validate_count(cv.get("folds", 5), "config 'cv.folds'"), grid)
+    from_file = isinstance(config.get("data"), dict) and "path" in config["data"]
+    data = _section(config, "data", ("path", "split") if from_file
+                    else ("train_per_class", "test_per_class", "mean"))
+    if from_file:
         if not isinstance(data["path"], str):
             raise ValueError(f"config 'data.path' must be a string, got {data['path']!r}")
         split = float(_numbers(data.get("split", 0.5), "data.split"))
         kwargs["data"] = FileSource(path=data["path"], split=split)
     elif data:
-        data_unknown = set(data) - {"train_per_class", "test_per_class", "mean"}
-        if data_unknown:
-            raise ValueError(f"unknown data keys: {sorted(data_unknown)}")
         sizes = {
-            key: _integer(data.get(key, 1000), f"data.{key}")
+            key: validate_count(data.get(key, 1000), f"config 'data.{key}'")
             for key in ("train_per_class", "test_per_class")
         }
         mean = _numbers(data.get("mean", [2.0, 0.0]), "data.mean", many=True)
         kwargs["data"] = SyntheticSpec(**sizes, mean=mean)
     for key, least in (("repetitions", None), ("seed", 0)):
         if key in config:
-            kwargs[key] = _integer(config[key], key, least=least)
+            kwargs[key] = validate_count(config[key], f"config '{key}'", least)
     if "time_fits" in config:
         if not isinstance(config["time_fits"], bool):
             raise ValueError(

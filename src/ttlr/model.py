@@ -16,6 +16,7 @@ from scipy import sparse
 from .loss import TemperaturePair, as_pair, regularized_objective
 from .optimizer import OptimizationTrace, OptimizerConfig, lbfgs_minimize
 from .partition import tempered_probs_rows
+from .tempered import validate_count
 
 __all__ = [
     "TTLRModel",
@@ -40,6 +41,13 @@ class FitConfig:
 
     seed: int = 0
     optimizer: OptimizerConfig = OptimizerConfig()
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", validate_count(self.seed, "FitConfig seed", 0))
+        if not isinstance(self.optimizer, OptimizerConfig):
+            raise ValueError(
+                f"FitConfig optimizer must be an OptimizerConfig, got {self.optimizer!r}"
+            )
 
 
 @dataclass(frozen=True)

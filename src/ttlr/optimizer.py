@@ -14,10 +14,12 @@ so identical inputs give bit-identical traces.
 
 from __future__ import annotations
 
-import numbers
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .tempered import validate_count
 
 __all__ = ["OptimizerConfig", "OptimizationTrace", "lbfgs_minimize"]
 
@@ -36,13 +38,8 @@ class OptimizerConfig:
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        iters = self.max_iters
-        whole = isinstance(iters, numbers.Integral) or (
-            isinstance(iters, float) and iters.is_integer()
-        )
-        if isinstance(iters, bool) or not whole or iters < 0:
-            raise ValueError(f"OptimizerConfig max_iters must be an integer >= 0, got {iters!r}")
-        object.__setattr__(self, "max_iters", int(iters))
+        iters = validate_count(self.max_iters, "OptimizerConfig max_iters", 0)
+        object.__setattr__(self, "max_iters", iters)
         if not self.grad_tol > 0.0:
             raise ValueError(f"OptimizerConfig grad_tol must be > 0, got {self.grad_tol!r}")
 
@@ -75,18 +72,18 @@ class OptimizationTrace:
         self.step_lengths.append(float(step))
 
 
-def _two_loop_direction(grad, s_list, y_list, rho_list):
-    """H g via the standard two-loop recursion; H0 = gamma I from the last pair."""
+def _two_loop_direction(grad, memory):
+    """-H g by two-loop recursion over (s, y, rho), oldest first; H0 = gamma I from the newest."""
     q = grad.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho in reversed(memory):
         alpha = rho * float(s @ q)
         q -= alpha * y
         alphas.append(alpha)
-    if s_list:
-        gamma = float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
-        q *= gamma
-    for (s, y, rho), alpha in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+    if memory:
+        s, y, _ = memory[-1]
+        q *= float(s @ y) / float(y @ y)
+    for (s, y, rho), alpha in zip(memory, reversed(alphas)):
         beta = rho * float(y @ q)
         q += (alpha - beta) * s
     return -q
@@ -131,15 +128,15 @@ def lbfgs_minimize(objective, init, config: OptimizerConfig | None = None):
         trace.termination = "converged"
         return x, trace
 
-    s_list, y_list, rho_list = [], [], []
+    memory = deque(maxlen=MEMORY)
     best_gnorm, stalled = gnorm, 0
     for _ in range(config.max_iters):
-        d = _two_loop_direction(g, s_list, y_list, rho_list)
+        d = _two_loop_direction(g, memory)
         slope = float(d @ g)
         if slope >= 0.0:
             # Stale curvature made the direction non-descent; restart from
             # steepest descent.
-            s_list, y_list, rho_list = [], [], []
+            memory.clear()
             d = -g
             slope = float(d @ g)
 
@@ -165,13 +162,7 @@ def lbfgs_minimize(objective, init, config: OptimizerConfig | None = None):
         ygap = g_new - g
         sty = float(s @ ygap)
         if sty > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(ygap)):
-            s_list.append(s)
-            y_list.append(ygap)
-            rho_list.append(1.0 / sty)
-            if len(s_list) > MEMORY:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+            memory.append((s, ygap, 1.0 / sty))
 
         # Accepted values never rise, so f is the best value seen so far.
         value_improved = f - f_new > _EPS * abs(f)

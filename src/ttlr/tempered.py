@@ -8,11 +8,14 @@ the same constant and exp_t has a heavy polynomial tail on the negative axis.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
     "TEMPERATURE_RANGE",
     "validate_temperature",
+    "validate_count",
     "log_t",
     "exp_t",
     "tsallis_entropy",
@@ -35,6 +38,21 @@ def validate_temperature(t: float) -> float:
     if not np.isfinite(t) or not (TEMPERATURE_RANGE[0] < t < TEMPERATURE_RANGE[1]):
         raise ValueError(f"temperature must lie strictly in (0, 2), got {t!r}")
     return t
+
+
+def validate_count(value, name: str, least: int | None = None) -> int:
+    """value as an int (of at least `least`), else an error naming the setting.
+
+    The one rule for every count and seed in the package. Integers and
+    integer-valued floats pass; bools, fractions, NaN and non-numbers do not.
+    """
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not whole or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
 def log_t(x, t: float):
@@ -90,7 +108,7 @@ def _check_distribution(p, name: str) -> np.ndarray:
     if np.any(p < 0.0) or not np.isfinite(p).all():
         raise ValueError(f"{name} must be entrywise finite and >= 0")
     if abs(p.sum() - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"{name} must sum to 1, got {p.sum()!r}")
+        raise ValueError(f"{name} must sum to 1, got {float(p.sum())!r}")
     return p
 
 

@@ -277,12 +277,15 @@ def bayes_suite(num_multiclass: int = 100, seed: int = 20240503) -> list:
     temps_list = [(1.0, 1.0), (1.0, 1.6), (0.6, 1.6), (1.3, 1.0)]
     worst_gap = 0.0
     sign_failures = 0
+    worst_center = 0.0  # eta = 1/2 is on the grid
     for temps in temps_list:
         for eta in etas:
             chk = bayes_binary_check(float(eta), temps)
             worst_gap = max(worst_gap, abs(chk.a_star_numeric - chk.a_star_closed_form))
             if not chk.sign_consistent:
                 sign_failures += 1
+            if eta == 0.5:
+                worst_center = max(worst_center, abs(chk.a_star_numeric))
     checks = [
         CheckResult(
             "binary minimizer matches the closed form",
@@ -299,10 +302,6 @@ def bayes_suite(num_multiclass: int = 100, seed: int = 20240503) -> list:
             "sign(a*) = sign(eta - 1/2) across the sweep",
         ),
     ]
-    worst_center = 0.0
-    for temps in temps_list:
-        chk = bayes_binary_check(0.5, temps)
-        worst_center = max(worst_center, abs(chk.a_star_numeric))
     checks.append(
         CheckResult(
             "eta = 1/2 gives a zero minimizer",

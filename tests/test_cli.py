@@ -303,6 +303,35 @@ def test_bad_config_is_reported(tmp_path, capsys):
     assert "warp_drive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        # --seed and --time apply to the validated config, never to the raw JSON
+        ("[1, 2]", ["--seed", "3"], "invalid experiment config: config root must be a JSON object"),
+        ("[1, 2]", ["--time"], "invalid experiment config: config root must be a JSON object"),
+        ('{"methods": ["plain_lr"]}', ["--seed", "-1"],
+         "invalid experiment config: ExperimentSpec seed must be an integer >= 0, got -1"),
+        ('{"methods": ["plain_lr"],', [], "{cfg} is not valid JSON: "),
+        (None, [], "cannot read {cfg}: "),
+    ],
+)
+def test_sweep_reports_a_bad_config_file(tmp_path, capsys, text, flags, message):
+    cfg = tmp_path / "c.json"
+    if text is not None:
+        cfg.write_text(text)
+    code = main(["sweep", "--config", str(cfg)] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(message.format(cfg=cfg))
+    assert captured.out == ""
+
+
+def test_noise_reports_a_bad_level(train_file, capsys):
+    argv = ["noise", "--data", str(train_file), "--kind", "outlier", "--level", "0.7"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "noise level (ratio) must lie in [0, 0.5], got 0.7\n"
+
+
 def test_bad_temperature_is_reported(tmp_path, train_file, capsys):
     code = main(
         ["train", "--data", str(train_file), "--t1", "2.5", "--out", str(tmp_path / "m.json")]

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +248,8 @@ def test_noise_spec_dispatch_and_validation():
     assert NoiseSpec("outlier", 0.0, seed=1).apply(data) is data
     flip = NoiseSpec("random_flip", 0.8, seed=3)
     assert np.array_equal(flip.apply(data).y, inject_random_flip(data, 0.8, 3).y)
+    margin = NoiseSpec("margin_flip", 0.1, seed=4)
+    assert np.array_equal(margin.apply(data).y, inject_margin_flip(data, 0.1, 4).y)
     with pytest.raises(ValueError):
         NoiseSpec("salt_and_pepper", 0.1, seed=0)
     with pytest.raises(ValueError):
@@ -255,6 +258,32 @@ def test_noise_spec_dispatch_and_validation():
         NoiseSpec("random_flip", 1.2, seed=0)
     with pytest.raises(ValueError):
         NoiseSpec("outlier", 0.1, seed=0, sigma=0.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "kind, level, sigma, message",
+    [
+        ("outlier", 0.6, 10.0, "noise level (ratio) must lie in [0, 0.5], got 0.6"),
+        ("outlier", -0.1, 10.0, "noise level (ratio) must lie in [0, 0.5], got -0.1"),
+        ("outlier", NAN, 10.0, "noise level (ratio) must lie in [0, 0.5], got nan"),
+        ("outlier", 0.1, 0.0, "noise sigma must be finite and > 0, got 0.0"),
+        ("outlier", 0.1, float("inf"), "noise sigma must be finite and > 0, got inf"),
+        ("random_flip", 1.2, 10.0, "noise level (flip probability) must lie in [0, 1], got 1.2"),
+        ("random_flip", NAN, 10.0, "noise level (flip probability) must lie in [0, 1], got nan"),
+    ],
+)
+def test_noise_spec_and_injectors_share_one_range_check(kind, level, sigma, message):
+    data = synth_gaussians(10, [(2.0, 0.0), (-2.0, 0.0)], seed=0)
+    inject = {
+        "outlier": lambda: inject_outlier_noise(data, sigma, level, seed=0),
+        "random_flip": lambda: inject_random_flip(data, level, seed=0),
+    }[kind]
+    for build in (lambda: NoiseSpec(kind, level, seed=0, sigma=sigma), inject):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 def test_dataset_subset_and_signed_labels():
@@ -267,6 +296,18 @@ def test_dataset_subset_and_signed_labels():
     three = synth_gaussians(3, [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)], seed=0)
     with pytest.raises(ValueError):
         three.signed_labels()
+
+
+def test_dataset_subset_takes_an_empty_index_and_a_mask():
+    # CSR storage, then dense storage
+    for data in (parse_libsvm(SAMPLE), synth_gaussians(3, [(1.0, 0.0), (-1.0, 0.0)], seed=0)):
+        empty = data.subset([])
+        assert (empty.n, empty.dim, empty.y.dtype) == (0, data.dim, np.int64)
+        assert empty.label_table == data.label_table
+        mask = data.y == 2
+        picked = data.subset(mask)
+        assert picked.y.tolist() == data.y[mask].tolist()
+        assert np.array_equal(dense(picked.X), dense(data.X)[mask])
 
 
 def test_dataset_validates_labels():

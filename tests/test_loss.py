@@ -250,6 +250,9 @@ def test_objective_validates_inputs():
     for lam in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
             regularized_objective(data, np.zeros((1, 2)), (1.0, 1.0), lam)
+    empty = Dataset(np.empty((0, 1)), np.empty(0, dtype=np.int64), 2)
+    with pytest.raises(ValueError, match="dataset is empty"):
+        regularized_objective(empty, np.zeros((1, 2)), (1.0, 1.0), 0.1)
 
 
 @settings(max_examples=60, deadline=None)

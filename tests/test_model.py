@@ -1,6 +1,7 @@
 """Model fitting, prediction, persistence, and input validation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ttlr.model import (
     predict_proba,
     save_model,
 )
+from ttlr.optimizer import OptimizerConfig
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +222,31 @@ def test_fit_rejects_bad_lambda_and_features(blobs):
     bad = Dataset(sparse.csr_array(X), blobs.y, blobs.num_classes)
     with pytest.raises(ValueError, match="feature values must be finite"):
         fit(bad, temps=(1.0, 1.0), lam=1e-3)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FitConfig(seed=-1), "FitConfig seed must be an integer >= 0, got -1"),
+        (lambda: FitConfig(seed=1.5), "FitConfig seed must be an integer >= 0, got 1.5"),
+        (lambda: FitConfig(seed=True), "FitConfig seed must be an integer >= 0, got True"),
+        (lambda: FitConfig(optimizer="x"),
+         "FitConfig optimizer must be an OptimizerConfig, got 'x'"),
+        (lambda: fit(Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), 2), (1.0, 1.0), 0.1),
+         "dataset is empty"),
+        (lambda: fit(Dataset(np.ones((3, 2)), [1, 1, 1], 1), (1.0, 1.0), 0.1),
+         "at least 2 classes are required"),
+    ],
+)
+def test_fit_rejects_a_bad_setting_before_fitting(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_fit_config_keeps_an_integer_seed():
+    for seed in (np.int64(3), 3.0):
+        config = FitConfig(seed=seed, optimizer=OptimizerConfig(max_iters=5))
+        assert config.seed == 3 and type(config.seed) is int
 
 
 def test_fit_from_a_converged_init_stops_at_once(blobs):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from ttlr import optimizer
 from ttlr.optimizer import MAX_BACKTRACKS, STALL_STEPS, OptimizerConfig, lbfgs_minimize
 
 
@@ -104,6 +105,31 @@ def test_evaluation_and_backtrack_counts():
     assert trace.backtracks > 0
     assert trace.evaluations == len(calls)
     assert trace.evaluations == 1 + trace.iterations + trace.backtracks
+
+
+def test_ascent_direction_restarts_from_steepest_descent(monkeypatch):
+    # stale curvature is simulated by flipping the third direction uphill
+    two_loop = optimizer._two_loop_direction
+    pairs_seen = []
+
+    def uphill_once(grad, memory):
+        pairs_seen.append(len(memory))
+        d = two_loop(grad, memory)
+        return -d if len(pairs_seen) == 3 else d
+
+    monkeypatch.setattr(optimizer, "_two_loop_direction", uphill_once)
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return rosenbrock(x)
+
+    x, trace = lbfgs_minimize(counted, np.array([0.8, 0.6]), OptimizerConfig(grad_tol=1e-8))
+    assert trace.termination == "converged"
+    assert np.allclose(x, [1.0, 1.0], atol=1e-6)
+    assert trace.evaluations == len(calls) == 1 + trace.iterations + trace.backtracks
+    # the restart drops every stored pair; the steepest step may store one
+    assert pairs_seen[2] == 2 and pairs_seen[3] <= 1
 
 
 def test_rejects_nonfinite_start():

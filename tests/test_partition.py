@@ -193,6 +193,12 @@ def test_rejects_bad_inputs():
         log_partition(np.array([]), 1.0)
     with pytest.raises(ValueError):
         log_partition(np.array([np.nan, 0.0]), 1.2)
+    for p in (np.array([]), np.ones((2, 2)) / 4):
+        with pytest.raises(ValueError, match="p must be a nonempty 1-d vector"):
+            escort(p, 1.2)
+    for p in (np.array([-0.5, 1.5]), np.array([np.nan, 1.0]), np.array([np.inf, 1.0])):
+        with pytest.raises(ValueError, match="p must be entrywise finite and >= 0"):
+            escort(p, 1.2)
     with pytest.raises(ValueError):
         escort(np.array([0.0, 0.0]), 1.2)
     # p^t2 underflows to an all-zero vector

@@ -130,6 +130,24 @@ def test_log_t_is_strictly_increasing(t):
     assert np.all(np.diff(v) > 0)
 
 
+@pytest.mark.parametrize(
+    "measure, message",
+    [
+        (lambda: tsallis_entropy([], 1.5), "p must be a nonempty 1-d vector"),
+        (lambda: tsallis_entropy([[0.5, 0.5]], 1.5), "p must be a nonempty 1-d vector"),
+        (lambda: tsallis_entropy([1.5, -0.5], 1.5), "p must be entrywise finite and >= 0"),
+        (lambda: tsallis_entropy([np.nan, 1.0], 0.5), "p must be entrywise finite and >= 0"),
+        (lambda: tsallis_entropy([0.5, 0.75], 0.5), "p must sum to 1, got 1.25"),
+        (lambda: tsallis_divergence([0.5, 0.5], [0.7, 0.4], 1.0), "q must sum to 1"),
+        (lambda: tsallis_divergence([0.5, 0.5], [0.2, 0.3, 0.5], 1.0),
+         "p and q must have the same length"),
+    ],
+)
+def test_entropy_measures_reject_a_bad_distribution(measure, message):
+    with pytest.raises(ValueError, match=message):
+        measure()
+
+
 def test_entropy_uniform_binary_oracle():
     # sum_c p_c log_t(1/p_c) = log_0.5(2) = 2(sqrt(2) - 1)
     p = np.array([0.5, 0.5])
