@@ -55,7 +55,7 @@ def _margins(a) -> np.ndarray:
     a = np.atleast_1d(np.asarray(a, dtype=float))
     bad = np.flatnonzero(~np.isfinite(a))
     if bad.size:
-        raise ValueError(f"margin {a.flat[bad[0]]!r} at index {bad[0]} is not finite")
+        raise ValueError(f"margin {float(a.flat[bad[0]])!r} at index {bad[0]} is not finite")
     return a
 
 

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .data import DataFormatError, NoiseSpec, format_number, parse_libsvm, serialize_libsvm
+from .data import NoiseSpec, format_number, read_libsvm, serialize_libsvm
 from .experiment import (
     rows_to_csv,
     rows_to_json,
@@ -27,16 +27,6 @@ from .model import FitConfig, fit, load_model, predict, save_model
 from .verify import SUITE_NAMES, format_report, run_verification
 
 
-def _load_dataset(path: str, dim: int | None = None):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_libsvm(fh, dim=dim)
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
-    except DataFormatError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def _write_out(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
@@ -46,7 +36,7 @@ def _write_out(text: str, out: str | None):
 
 
 def _cmd_train(args) -> int:
-    data = _load_dataset(args.data)
+    data = read_libsvm(args.data)
     model = fit(data, (args.t1, args.t2), args.lam, FitConfig(seed=args.seed))
     save_model(model, args.out)
     trace = model.trace
@@ -61,7 +51,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    data = _load_dataset(args.data, dim=model.dim)
+    data = read_libsvm(args.data, dim=model.dim)
     labels = np.asarray(model.labels)[predict(model, data.X) - 1]
     truth = np.asarray(data.label_table)[data.y - 1]
     accuracy = float(np.mean(labels == truth))
@@ -105,7 +95,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_noise(args) -> int:
-    data = _load_dataset(args.data)
+    data = read_libsvm(args.data)
     spec = NoiseSpec(kind=args.kind, level=args.level, seed=args.seed, sigma=args.sigma)
     noisy = spec.apply(data)
     _write_out(serialize_libsvm(noisy), args.out)

@@ -20,12 +20,17 @@ __all__ = [
     "DataFormatError",
     "format_number",
     "parse_libsvm",
+    "read_libsvm",
     "serialize_libsvm",
     "synth_gaussians",
     "inject_outlier_noise",
     "inject_random_flip",
     "inject_margin_flip",
 ]
+
+
+# The largest feature index parse_libsvm accepts (int32 CSR column indices).
+MAX_FEATURE_INDEX = 2**31 - 1
 
 
 class DataFormatError(ValueError):
@@ -208,7 +213,13 @@ def parse_libsvm(stream, dim: int | None = None) -> Dataset:
             rows.append(n)
             cols.append(idx - 1)
             vals.append(val)
-            max_index = max(max_index, idx)
+        # indices increase along a line, so its last is its largest
+        if prev_index > max_index:
+            if prev_index > MAX_FEATURE_INDEX:
+                raise DataFormatError(
+                    f"line {lineno}: index {prev_index} exceeds {MAX_FEATURE_INDEX}"
+                )
+            max_index = prev_index
         raw_labels.append(label)
         n += 1
 
@@ -237,6 +248,17 @@ def parse_libsvm(stream, dim: int | None = None) -> Dataset:
         (values, (rows, cols)), shape=(n, dim), dtype=float
     )
     return Dataset(X, y, num_classes=len(table), label_table=tuple(table))
+
+
+def read_libsvm(path, dim: int | None = None) -> Dataset:
+    """parse_libsvm on the file at path; a read or format error names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_libsvm(fh, dim=dim)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    except (DataFormatError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def serialize_libsvm(data: Dataset) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataFormatError, Dataset, NoiseSpec, parse_libsvm, synth_gaussians
+from .data import Dataset, NoiseSpec, read_libsvm, synth_gaussians
 from .loss import TemperaturePair
 from .model import FitConfig, TTLRModel, fit, predict
 from .tempered import validate_count
@@ -46,6 +46,10 @@ __all__ = [
 CSV_HEADER = "method,noise_kind,noise_level,rep,lambda,accuracy,seconds"
 
 LAMBDA_RANGE = (1e-10, 1e2)
+
+# Caps on config sizes: points in a lambda grid, and examples per class.
+MAX_LAMBDA_POINTS = 1000
+MAX_PER_CLASS = 10**7
 
 # sub-seed stream tags: SeedSequence(seed, spawn_key=(rep, stream, ...))
 STREAM_TRAIN = 0
@@ -101,7 +105,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name in ("train_per_class", "test_per_class"):
-            count = validate_count(getattr(self, name), f"SyntheticSpec {name}", 1)
+            count = validate_count(getattr(self, name), f"SyntheticSpec {name}", 1, MAX_PER_CLASS)
             object.__setattr__(self, name, count)
         mean = self.mean
         if not (
@@ -267,13 +271,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
     Wall-clock seconds cover the final fit only and are written as 0.0 unless
     spec.time_fits is set, keeping default output byte-reproducible.
     """
-    full = None
-    if isinstance(spec.data, FileSource):
-        with open(spec.data.path, "r", encoding="utf-8") as fh:
-            try:
-                full = parse_libsvm(fh)
-            except DataFormatError as exc:
-                raise DataFormatError(f"{spec.data.path}: {exc}") from None
+    full = read_libsvm(spec.data.path) if isinstance(spec.data, FileSource) else None
     cells = {}
     for rep in range(spec.repetitions):
         train, test = _rep_datasets(spec, rep, full)
@@ -375,20 +373,20 @@ def _numbers(value, name: str, many: bool = False):
 
 
 def _section(config: dict, key: str, keys) -> dict:
-    """config[key] (default empty) as a JSON object holding only `keys`, else a located error."""
+    """A copy of the JSON object config[key] (default {}) holding only `keys`, else an error."""
     section = config.get(key, {})
     if not isinstance(section, dict):
         raise ValueError(f"config '{key}' must be a JSON object, got {section!r}")
     unknown = set(section) - set(keys)
     if unknown:
         raise ValueError(f"unknown {key} keys: {sorted(unknown)}")
-    return section
+    return dict(section)
 
 
 def spec_from_config(config: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from a parsed JSON config dictionary.
 
-    Schema (all keys optional except methods):
+    Schema (all keys optional except methods; one left out takes the spec's default):
       methods: list of method strings
       noise: {kind, levels, sigma}
       cv: {folds, lambda_points} or {folds, lambda_grid}
@@ -409,37 +407,39 @@ def spec_from_config(config: dict) -> ExperimentSpec:
         raise ValueError(f"config 'methods' must be a list of strings, got {methods!r}")
     kwargs = {"methods": tuple(methods)}
     noise = _section(config, "noise", ("kind", "levels", "sigma"))
-    if noise:
-        kwargs["noise_kind"] = noise.get("kind", "outlier")
-        kwargs["noise_levels"] = _numbers(noise.get("levels", [0.0]), "noise.levels", many=True)
-        if "sigma" in noise:
-            kwargs["noise_sigma"] = float(_numbers(noise["sigma"], "noise.sigma"))
+    if "levels" in noise:
+        noise["levels"] = _numbers(noise["levels"], "noise.levels", many=True)
+    if "sigma" in noise:
+        noise["sigma"] = float(_numbers(noise["sigma"], "noise.sigma"))
+    kwargs.update((f"noise_{key}", value) for key, value in noise.items())
     cv = _section(config, "cv", ("folds", "lambda_grid", "lambda_points"))
-    if cv:
-        grid = cv.get("lambda_grid")
-        if grid is not None and "lambda_points" in cv:
-            raise ValueError("give either lambda_grid or lambda_points, not both")
-        if grid is None:
-            points = validate_count(cv.get("lambda_points", 13), "config 'cv.lambda_points'", 1)
-            grid = default_lambda_grid(points)
-        else:
-            grid = _numbers(grid, "cv.lambda_grid", many=True)
-        kwargs["cv"] = CrossValSpec(validate_count(cv.get("folds", 5), "config 'cv.folds'"), grid)
+    if "lambda_grid" in cv and "lambda_points" in cv:
+        raise ValueError("give either lambda_grid or lambda_points, not both")
+    if "folds" in cv:
+        cv["folds"] = validate_count(cv["folds"], "config 'cv.folds'")
+    if "lambda_grid" in cv:
+        cv["lambda_grid"] = _numbers(cv["lambda_grid"], "cv.lambda_grid", many=True)
+    if "lambda_points" in cv:
+        name = "config 'cv.lambda_points'"
+        points = validate_count(cv.pop("lambda_points"), name, 1, MAX_LAMBDA_POINTS)
+        cv["lambda_grid"] = default_lambda_grid(points)
+    kwargs["cv"] = CrossValSpec(**cv)
     from_file = isinstance(config.get("data"), dict) and "path" in config["data"]
     data = _section(config, "data", ("path", "split") if from_file
                     else ("train_per_class", "test_per_class", "mean"))
     if from_file:
         if not isinstance(data["path"], str):
             raise ValueError(f"config 'data.path' must be a string, got {data['path']!r}")
-        split = float(_numbers(data.get("split", 0.5), "data.split"))
-        kwargs["data"] = FileSource(path=data["path"], split=split)
-    elif data:
-        sizes = {
-            key: validate_count(data.get(key, 1000), f"config 'data.{key}'")
-            for key in ("train_per_class", "test_per_class")
-        }
-        mean = _numbers(data.get("mean", [2.0, 0.0]), "data.mean", many=True)
-        kwargs["data"] = SyntheticSpec(**sizes, mean=mean)
+        if "split" in data:
+            data["split"] = float(_numbers(data["split"], "data.split"))
+        kwargs["data"] = FileSource(**data)
+    else:
+        for key in ("train_per_class", "test_per_class"):
+            if key in data:
+                data[key] = validate_count(data[key], f"config 'data.{key}'")
+        if "mean" in data:
+            data["mean"] = _numbers(data["mean"], "data.mean", many=True)
+        kwargs["data"] = SyntheticSpec(**data)
     for key, least in (("repetitions", None), ("seed", 0)):
         if key in config:
             kwargs[key] = validate_count(config[key], f"config '{key}'", least)

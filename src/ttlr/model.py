@@ -34,6 +34,9 @@ MODEL_VERSION = 2
 # Entrywise standard deviation of the seeded near-zero initial W.
 INIT_STDDEV = 1e-5
 
+# fit refuses a dense (dim, num_classes) float64 W larger than this.
+MAX_WEIGHT_BYTES = 2**31
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -52,7 +55,7 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class TTLRModel:
-    """Fitted weights, one column per class.
+    """Fitted weights W, one column per class: W.shape is (dim, num_classes).
 
     labels[k-1] is the training file's label value for class k, the value
     predictions stand for outside the package.
@@ -61,17 +64,16 @@ class TTLRModel:
     W: np.ndarray
     temps: TemperaturePair
     lam: float
-    num_classes: int
-    dim: int
-    fitted: bool = False
     trace: OptimizationTrace | None = None
     labels: tuple = ()
 
-    def predict(self, x):
-        return predict(self, x)
+    @property
+    def dim(self) -> int:
+        return self.W.shape[0]
 
-    def predict_proba(self, x):
-        return predict_proba(self, x)
+    @property
+    def num_classes(self) -> int:
+        return self.W.shape[1]
 
 
 def fit(data, temps, lam: float, config: FitConfig | None = None, init=None) -> TTLRModel:
@@ -91,10 +93,15 @@ def fit(data, temps, lam: float, config: FitConfig | None = None, init=None) -> 
         raise ValueError("dataset is empty")
     if data.num_classes < 2:
         raise ValueError("at least 2 classes are required")
+    d, c = data.dim, data.num_classes
+    if 8 * d * c > MAX_WEIGHT_BYTES:
+        raise ValueError(
+            f"a weight matrix of dim {d} x {c} classes takes {8 * d * c} bytes, "
+            f"above the cap of {MAX_WEIGHT_BYTES} bytes"
+        )
     values = _stored_values(data.X)
     if not np.isfinite(values).all():
         raise ValueError("feature values must be finite")
-    d, c = data.dim, data.num_classes
     if init is not None:
         init = np.asarray(init, dtype=float)
         if init.shape != (d, c):
@@ -107,9 +114,7 @@ def fit(data, temps, lam: float, config: FitConfig | None = None, init=None) -> 
         trace.warnings.append(
             "all feature values are zero; returning the prior-only zero solution"
         )
-        return TTLRModel(
-            np.zeros((d, c)), temps, float(lam), c, d, True, trace, data.label_table
-        )
+        return TTLRModel(np.zeros((d, c)), temps, float(lam), trace, data.label_table)
 
     if init is None:
         init = np.random.default_rng(config.seed).normal(0.0, INIT_STDDEV, size=(d, c))
@@ -119,9 +124,7 @@ def fit(data, temps, lam: float, config: FitConfig | None = None, init=None) -> 
         return value, grad.ravel()
 
     flat, trace = lbfgs_minimize(objective, init, config.optimizer)
-    return TTLRModel(
-        flat.reshape(d, c), temps, float(lam), c, d, True, trace, data.label_table
-    )
+    return TTLRModel(flat.reshape(d, c), temps, float(lam), trace, data.label_table)
 
 
 def _stored_values(X) -> np.ndarray:
@@ -147,8 +150,6 @@ def predict(model: TTLRModel, x):
 
     Accepts a single vector or a feature matrix (returns an array then).
     """
-    if not model.fitted:
-        raise ValueError("model is not fitted")
     a = _activations(model, x)
     labels = np.argmax(a, axis=1) + 1
     return int(labels[0]) if np.ndim(x) == 1 else labels
@@ -156,8 +157,6 @@ def predict(model: TTLRModel, x):
 
 def predict_proba(model: TTLRModel, x):
     """Tempered class probabilities exp_t2(a_c - G) for the model activations."""
-    if not model.fitted:
-        raise ValueError("model is not fitted")
     a = _activations(model, x)
     p = tempered_probs_rows(a, model.temps.t2)
     return p[0] if np.ndim(x) == 1 else p
@@ -168,8 +167,6 @@ def save_model(model: TTLRModel, path) -> None:
 
     Floats are written in shortest round-trip form, so load restores W exactly.
     """
-    if not model.fitted:
-        raise ValueError("refusing to serialize an unfitted model")
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -199,7 +196,8 @@ def load_model(path) -> TTLRModel:
     if payload.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {payload.get('version')!r}")
     try:
-        dim, num_classes = int(payload["dim"]), int(payload["num_classes"])
+        dim = validate_count(payload["dim"], "dim", 0)
+        num_classes = validate_count(payload["num_classes"], "num_classes", 2)
         temps = TemperaturePair(payload["t1"], payload["t2"])
         lam = float(payload["lambda"])
         labels = tuple(float(v) for v in payload["labels"])
@@ -214,4 +212,4 @@ def load_model(path) -> TTLRModel:
         raise ValueError(f"{path}: model weights must be finite")
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"{path}: lambda must be finite and >= 0, got {lam!r}")
-    return TTLRModel(W, temps, lam, num_classes, dim, True, labels=labels)
+    return TTLRModel(W, temps, lam, labels=labels)

@@ -40,8 +40,8 @@ def validate_temperature(t: float) -> float:
     return t
 
 
-def validate_count(value, name: str, least: int | None = None) -> int:
-    """value as an int (of at least `least`), else an error naming the setting.
+def validate_count(value, name: str, least: int | None = None, most: int | None = None) -> int:
+    """value as an int (of at least `least`, at most `most`), else an error naming the setting.
 
     The one rule for every count and seed in the package. Integers and
     integer-valued floats pass; bools, fractions, NaN and non-numbers do not.
@@ -50,9 +50,13 @@ def validate_count(value, name: str, least: int | None = None) -> int:
         isinstance(value, float) and value.is_integer()
     )
     if isinstance(value, bool) or not whole or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
-    return int(value)
+        rule = "an integer" + ("" if least is None else f" >= {least}")
+    elif most is not None and value > most:
+        rule = f"at most {most}"
+    else:
+        return int(value)
+    shown = value.item() if isinstance(value, np.generic) else value  # -1, not np.int64(-1)
+    raise ValueError(f"{name} must be {rule}, got {shown!r}")
 
 
 def log_t(x, t: float):

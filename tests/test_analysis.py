@@ -314,6 +314,11 @@ def test_margin_helpers_reject_non_finite_margins(helper, a, temps):
         helper(a, temps)
 
 
+def test_a_non_finite_margin_prints_as_a_plain_float():
+    with pytest.raises(ValueError, match=r"^margin nan at index 1 is not finite$"):
+        margin_losses(np.array([0.0, np.nan]), (1.0, 1.0))
+
+
 @pytest.mark.parametrize(
     "lo, hi", [(-np.inf, 5.0), (-5.0, np.inf), (np.nan, 5.0), (-5.0, np.nan), (5.0, -5.0)]
 )

@@ -252,6 +252,15 @@ def test_sweep_json_output_and_seed_override(tmp_path, capsys):
     assert payload[0]["method"] == "plain_lr"
 
 
+def test_sweep_time_records_fit_seconds(tmp_path, capsys):
+    cfg = sweep_config(tmp_path, repetitions=1)
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(cfg), "--time", "--out", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert len(rows) == 1 and float(rows[0].split(",")[-1]) > 0.0
+    assert "1 rows written to" in capsys.readouterr().out
+
+
 def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
     cfg = sweep_config(tmp_path)
     a = tmp_path / "a.csv"
@@ -274,6 +283,26 @@ def test_missing_file_is_reported(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path / "nope.svm"), "--out", str(tmp_path / "m.json")])
     assert code == 2
     assert "nope.svm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        # the parser refuses an index past the int32 range, naming the line
+        ("99999999999999999999", "line 2: index 99999999999999999999 exceeds 2147483647"),
+        ("9223372036854775807", "line 2: index 9223372036854775807 exceeds 2147483647"),
+        ("3000000000", "line 2: index 3000000000 exceeds 2147483647"),
+        # fit refuses a W over its byte cap before allocating it
+        ("2147483647", "a weight matrix of dim 2147483647 x 2 classes takes 34359738352 bytes"),
+    ],
+)
+def test_train_refuses_a_huge_feature_index(tmp_path, capsys, index, message):
+    data = tmp_path / "wide.svm"
+    data.write_text(f"1 1:1\n2 1:-1 {index}:1\n")
+    code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_malformed_data_is_reported(tmp_path, capsys):

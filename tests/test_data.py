@@ -16,6 +16,7 @@ from ttlr.data import (
     inject_outlier_noise,
     inject_random_flip,
     parse_libsvm,
+    read_libsvm,
     serialize_libsvm,
     synth_gaussians,
 )
@@ -82,6 +83,30 @@ def test_parse_rejects_malformed_input():
     ):
         with pytest.raises(DataFormatError, match=f"{where}: .*must be finite"):
             parse_libsvm(text)
+
+
+def test_parse_refuses_an_index_above_the_int32_range():
+    # checked on the token text, before any array is sized by the index
+    for index in ("2147483648", "3000000000", "9223372036854775807", "99999999999999999999"):
+        with pytest.raises(DataFormatError, match=f"^line 2: index {index} exceeds 2147483647$"):
+            parse_libsvm(f"1 1:1\n2 1:1 {index}:1\n")
+    data = parse_libsvm("1 2147483647:1\n2 1:1\n")
+    assert data.dim == 2147483647 and sparse.issparse(data.X)
+
+
+def test_read_libsvm_names_the_path(tmp_path):
+    path = tmp_path / "d.svm"
+    path.write_text("1 1:1\n2 2:1\n")
+    data = read_libsvm(path, dim=3)
+    assert (data.n, data.dim) == (2, 3)
+    with pytest.raises(ValueError, match=re.escape(f"cannot read {tmp_path / 'no.svm'}: No such")):
+        read_libsvm(tmp_path / "no.svm")
+    path.write_text("1 1:1\n2 x\n")
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: line 2: expected idx:val")):
+        read_libsvm(path)
+    path.write_bytes(b"1 1:1\n2 1:\xff\n")
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: 'utf-8' codec can't decode")):
+        read_libsvm(path)
 
 
 def test_serialize_round_trip_is_exact():
@@ -203,6 +228,22 @@ def test_margin_flip_count_and_determinism():
     again = inject_margin_flip(data, 0.1, seed=13)
     assert np.array_equal(noisy.y, again.y)
     assert np.array_equal(dense(noisy.X), dense(data.X))
+
+
+def test_margin_flip_below_one_flip_returns_the_input():
+    data = synth_gaussians(4, [(2.0, 0.0), (-2.0, 0.0)], seed=6)
+    assert inject_margin_flip(data, 0.1, seed=0) is data
+
+
+def test_margin_flip_with_equal_margins_samples_uniformly():
+    # all-zero features fit W = 0, so every margin is 0
+    data = Dataset(np.zeros((40, 1)), np.tile([1, 2], 20), 2)
+    flips = np.zeros(data.n)
+    for seed in range(40):
+        flipped = inject_margin_flip(data, 0.25, seed=seed).y != data.y
+        assert int(flipped.sum()) == 10
+        flips += flipped
+    assert flips.min() > 0
 
 
 def test_margin_flip_prefers_confident_points():

@@ -106,6 +106,8 @@ def test_cross_val_spec_rejects_nonfinite_grid_entries():
          "SyntheticSpec train_per_class must be an integer >= 1, got 2.5"),
         (lambda: SyntheticSpec(test_per_class=0),
          "SyntheticSpec test_per_class must be an integer >= 1, got 0"),
+        (lambda: SyntheticSpec(train_per_class=10**7 + 1),
+         "SyntheticSpec train_per_class must be at most 10000000, got 10000001"),
     ],
 )
 def test_specs_built_directly_name_a_bad_count(build, message):
@@ -128,6 +130,8 @@ def test_specs_built_directly_name_a_bad_count(build, message):
         (lambda: SyntheticSpec(mean=[0.0, -0.0]), "SyntheticSpec mean must not be all zeros"),
         # an int path would open a file descriptor
         (lambda: FileSource(99), "FileSource path must be a string, got 99"),
+        (lambda: tiny_spec(noise_levels=()), "need at least one noise level"),
+        (lambda: tiny_spec(data="blobs.svm"), "data must be a SyntheticSpec or FileSource"),
     ],
 )
 def test_specs_built_directly_name_a_bad_field(build, message):
@@ -382,6 +386,18 @@ def test_file_source_split(tmp_path):
     assert rows_to_csv(rows) == rows_to_csv(again)
 
 
+def test_file_source_errors_name_the_problem(tmp_path):
+    path = tmp_path / "two.svm"
+    path.write_text("1 1:1\n2 1:-1\n")
+    spec = tiny_spec(data=FileSource(str(path), split=0.1), repetitions=1, noise_levels=(0.0,))
+    with pytest.raises(ValueError, match="split leaves an empty train or test set"):
+        run_experiment(spec)
+    missing = tmp_path / "none.svm"
+    spec = tiny_spec(data=FileSource(str(missing)))
+    with pytest.raises(ValueError, match=re.escape(f"cannot read {missing}: ")):
+        run_experiment(spec)
+
+
 def test_file_source_validation():
     with pytest.raises(ValueError):
         FileSource("x.svm", split=0.0)
@@ -408,6 +424,45 @@ def test_spec_from_config_full():
     assert spec.data.train_per_class == 80
     assert spec.repetitions == 4
     assert spec.time_fits
+
+
+def test_spec_from_config_defaults_are_the_spec_defaults():
+    # a key left out takes the dataclass default; the config is not modified
+    cfg = {
+        "methods": ["plain_lr"],
+        "noise": {"levels": [0.1]},
+        "cv": {"folds": 3},
+        "data": {"train_per_class": 20.0},
+    }
+    before = json.dumps(cfg)
+    spec = spec_from_config(cfg)
+    assert json.dumps(cfg) == before
+    assert spec == ExperimentSpec(
+        methods=("plain_lr",), noise_levels=(0.1,), cv=CrossValSpec(folds=3),
+        data=SyntheticSpec(train_per_class=20),
+    )
+    assert spec_from_config({"methods": ["plain_lr"], "data": {"path": "x.svm"}}).data == (
+        FileSource("x.svm")
+    )
+    assert spec_from_config({"methods": ["plain_lr"], "noise": {}}) == ExperimentSpec(
+        methods=("plain_lr",)
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"cv": {"lambda_points": 1e20}},
+         "config 'cv.lambda_points' must be at most 1000, got 1e+20"),
+        ({"data": {"train_per_class": 1e12}},
+         "SyntheticSpec train_per_class must be at most 10000000, got 1000000000000"),
+        ({"data": {"test_per_class": 10**7 + 1}},
+         "SyntheticSpec test_per_class must be at most 10000000, got 10000001"),
+    ],
+)
+def test_spec_from_config_caps_sizes(cfg, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spec_from_config({"methods": ["plain_lr"], **cfg})
 
 
 def test_spec_from_config_file_data():

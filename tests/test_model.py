@@ -30,7 +30,6 @@ def test_fit_separates_easy_data(blobs):
     # plain_lr, t_lr(1.6) and ttlr(0.6,1.6)
     for temps in ((1.0, 1.0), (1.0, 1.6), (0.6, 1.6)):
         model = fit(blobs, temps=temps, lam=1e-4)
-        assert model.fitted
         assert model.trace.termination == "converged"
         pred = predict(model, blobs.X)
         acc = float(np.mean(pred == blobs.y))
@@ -163,17 +162,19 @@ def test_save_load_round_trip(tmp_path, blobs):
     assert np.array_equal(predict(back, blobs.X), predict(model, blobs.X))
 
 
-def test_save_rejects_unfitted(tmp_path):
-    model = TTLRModel(
-        W=np.zeros((2, 2)),
-        temps=TemperaturePair(1.0, 1.0),
-        lam=0.0,
-        num_classes=2,
-        dim=2,
-        fitted=False,
-    )
-    with pytest.raises(ValueError):
-        save_model(model, tmp_path / "m.json")
+def test_model_shape_is_the_shape_of_W():
+    model = TTLRModel(np.zeros((3, 2)), TemperaturePair(1.0, 1.0), 0.0)
+    assert (model.dim, model.num_classes) == (3, 2)
+    assert predict(model, np.ones(3)) == 1
+
+
+def test_fit_refuses_an_oversized_weight_matrix_before_allocating():
+    dim = 2**30  # 2 classes need 2**34 bytes of W; the stored X is 2 entries
+    X = sparse.csr_array(([1.0, 1.0], ([0, 1], [0, dim - 1])), shape=(2, dim))
+    data = Dataset(X, np.array([1, 2]), 2)
+    message = f"a weight matrix of dim {dim} x 2 classes takes {2**34} bytes, above the cap"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fit(data, temps=(1.0, 1.0), lam=0.1)
 
 
 def test_load_rejects_foreign_payload(tmp_path):
@@ -199,6 +200,39 @@ def test_load_names_the_file_on_malformed_payloads(tmp_path, blobs):
         with pytest.raises(ValueError) as err:
             load_model(path)
         assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("dim", "2", "malformed model field: dim must be an integer >= 0, got '2'"),
+        ("num_classes", 2.7,
+         "malformed model field: num_classes must be an integer >= 2, got 2.7"),
+        ("num_classes", None, "malformed model field: num_classes must be an integer >= 2"),
+        ("t1", "warm", "malformed model field: "),
+        ("dim", 3, "weight or label shape disagrees with the recorded dimensions"),
+        ("num_classes", 3, "weight or label shape disagrees with the recorded dimensions"),
+        ("labels", [1.0], "weight or label shape disagrees with the recorded dimensions"),
+    ],
+)
+def test_load_names_the_file_on_a_bad_field(tmp_path, blobs, field, value, message):
+    path = tmp_path / "model.json"
+    save_model(fit(blobs, temps=(1.0, 1.0), lam=1e-3), path)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, field: value}))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_model(path)
+
+
+def test_load_reads_integer_valued_float_dimensions(tmp_path, blobs):
+    model = fit(blobs, temps=(1.0, 1.0), lam=1e-3)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, "dim": 2.0, "num_classes": 2.0}))
+    back = load_model(path)
+    assert (back.dim, back.num_classes) == (2, 2)
+    assert np.array_equal(predict(back, blobs.X), predict(model, blobs.X))
 
 
 def test_predict_validates_width(blobs):

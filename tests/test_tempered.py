@@ -13,6 +13,7 @@ from ttlr.tempered import (
     log_t,
     tsallis_divergence,
     tsallis_entropy,
+    validate_count,
     validate_temperature,
 )
 
@@ -111,6 +112,30 @@ def test_validate_temperature_range():
     for bad in (0.0, 2.0, -0.5, 2.5, float("nan")):
         with pytest.raises(ValueError):
             validate_temperature(bad)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        # numpy scalars print as plain numbers, strings keep their quotes
+        (np.int64(-1), "n must be an integer >= 0, got -1"),
+        (np.float64(2.5), "n must be an integer >= 0, got 2.5"),
+        (np.float64("nan"), "n must be an integer >= 0, got nan"),
+        ("2", "n must be an integer >= 0, got '2'"),
+        (np.int64(11), "n must be at most 10, got 11"),
+        (1e20, "n must be at most 10, got 1e+20"),
+    ],
+)
+def test_validate_count_message(value, message):
+    with pytest.raises(ValueError) as err:
+        validate_count(value, "n", 0, 10)
+    assert str(err.value) == message
+
+
+def test_validate_count_bounds_are_inclusive():
+    assert validate_count(np.int64(10), "n", 0, 10) == 10
+    assert validate_count(0.0, "n", 0, 10) == 0
+    assert validate_count(10**30, "n") == 10**30
 
 
 @settings(max_examples=80, deadline=None)
