@@ -19,7 +19,7 @@ import numpy as np
 from .loss import TemperaturePair, activation_terms, as_pair, batch_losses
 from .optimizer import OptimizerConfig, lbfgs_minimize
 from .partition import margin_derivatives, tempered_probs_rows
-from .tempered import log_t
+from .tempered import check_distribution, log_t
 
 __all__ = [
     "CurvatureReport",
@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 INFLECTION_RESIDUAL_TOL = 1e-6
+# Second differences of the loss (over h^2) down to -CONVEXITY_TOL still read as convex.
+CONVEXITY_TOL = 1e-8
 
 
 def is_convex_pair(temps) -> bool:
@@ -211,7 +213,7 @@ def curvature_report(temps, lo: float = -10.0, hi: float = 10.0) -> CurvatureRep
     """Classify the loss shape on a 2001-point grid, from loss values alone.
 
     The regime is decided numerically: second central differences of the loss
-    over every all-finite triple must stay above -1e-8 (after dividing by h^2)
+    over every all-finite triple must stay above -CONVEXITY_TOL (after dividing by h^2)
     for the convex verdict. Plateau junctions where a finite constant stretch
     meets the descending branch produce strongly negative differences, so
     quasi-convexity from the t1 < 1 cap is caught without analytic formulas.
@@ -227,7 +229,7 @@ def curvature_report(temps, lo: float = -10.0, hi: float = 10.0) -> CurvatureRep
     second_diff[triple] = (
         values[:-2][triple] - 2.0 * values[1:-1][triple] + values[2:][triple]
     ) / (h * h)
-    numeric_convex = bool(np.all(second_diff[triple] >= -1e-8)) if triple.any() else True
+    numeric_convex = bool(np.all(second_diff[triple] >= -CONVEXITY_TOL)) if triple.any() else True
     regime = "convex" if numeric_convex else "quasi_convex"
     inflections = [] if numeric_convex else _scan_inflections(temps, grid)
     return CurvatureReport(
@@ -300,13 +302,11 @@ def bayes_multiclass_check(p, temps) -> MulticlassBayesCheck:
     """
     temps = as_pair(temps)
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size < 2:
-        raise ValueError("p must be a 1-d vector with at least 2 classes")
     if not np.all(np.isfinite(p) & (p > 0.0)):
         raise ValueError(f"p must be finite and strictly positive, got {p.tolist()}")
-    if abs(p.sum() - 1.0) > 1e-8:
-        raise ValueError("p must sum to 1")
-    c = p.size
+    c = check_distribution(p, "p").size
+    if c < 2:
+        raise ValueError("p must have at least 2 classes")
 
     def chart_objective(v):
         # expected loss as a function of the induced probabilities; the

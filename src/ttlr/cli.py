@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
 
-from .data import NoiseSpec, format_number, read_libsvm, serialize_libsvm
+from .data import NoiseSpec, format_number, read_json, read_libsvm, serialize_libsvm
 from .experiment import (
     rows_to_csv,
     rows_to_json,
@@ -61,13 +60,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.config}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{args.config} is not valid JSON: {exc}") from exc
+    config = read_json(args.config)
     try:
         spec = spec_from_config(config)
         if args.seed is not None:

@@ -9,10 +9,13 @@ examples or the feature dimension.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+
+from .tempered import is_number, plain_number
 
 __all__ = [
     "Dataset",
@@ -21,6 +24,7 @@ __all__ = [
     "format_number",
     "parse_libsvm",
     "read_libsvm",
+    "read_json",
     "serialize_libsvm",
     "synth_gaussians",
     "inject_outlier_noise",
@@ -34,7 +38,7 @@ MAX_FEATURE_INDEX = 2**31 - 1
 
 
 class DataFormatError(ValueError):
-    """Malformed input text; message carries the 1-based line number."""
+    """Malformed input text; message carries the 1-based line number or the path."""
 
 
 class _DenseFeatures(np.ndarray):
@@ -142,14 +146,13 @@ class NoiseSpec:
 
 
 def _check_noise(kind: str, level: float, sigma: float | None = None) -> None:
-    """Reject a level, or an outlier sigma, outside its kind's range; NaN fails every check."""
-    if kind == "random_flip":
-        if not (0.0 <= level <= 1.0):
-            raise ValueError(f"noise level (flip probability) must lie in [0, 1], got {level!r}")
-    elif not (0.0 <= level <= 0.5):
-        raise ValueError(f"noise level (ratio) must lie in [0, 0.5], got {level!r}")
-    if kind == "outlier" and not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"noise sigma must be finite and > 0, got {sigma!r}")
+    """Reject a level, or an outlier sigma, outside its kind's range; NaN and non-numbers fail."""
+    what, most = ("flip probability", 1) if kind == "random_flip" else ("ratio", 0.5)
+    if not (is_number(level) and 0.0 <= level <= most):
+        shown = plain_number(level)
+        raise ValueError(f"noise level ({what}) must lie in [0, {most}], got {shown!r}")
+    if kind == "outlier" and not (is_number(sigma) and 0.0 < sigma < np.inf):
+        raise ValueError(f"noise sigma must be finite and > 0, got {plain_number(sigma)!r}")
 
 
 def format_number(v: float) -> str:
@@ -250,15 +253,30 @@ def parse_libsvm(stream, dim: int | None = None) -> Dataset:
     return Dataset(X, y, num_classes=len(table), label_table=tuple(table))
 
 
-def read_libsvm(path, dim: int | None = None) -> Dataset:
-    """parse_libsvm on the file at path; a read or format error names the path."""
+def _read(path, parse):
+    """parse(the UTF-8 text file at path): the one reader of every file a user names.
+
+    Each failure is a ValueError that names the path.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_libsvm(fh, dim=dim)
+            return parse(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
-    except (DataFormatError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None  # format or decoding
+
+
+def read_libsvm(path, dim: int | None = None) -> Dataset:
+    """parse_libsvm on the file at path; a read or format error names the path."""
+    return _read(path, lambda fh: parse_libsvm(fh, dim=dim))
+
+
+def read_json(path):
+    """The JSON value in the file at path; a read or syntax error names the path."""
+    return _read(path, json.load)
 
 
 def serialize_libsvm(data: Dataset) -> str:

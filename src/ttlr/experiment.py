@@ -10,10 +10,10 @@ so any cell of a sweep is reproducible in isolation.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
-import numbers
 import os
 import re
 import time
@@ -24,7 +24,7 @@ import numpy as np
 from .data import Dataset, NoiseSpec, read_libsvm, synth_gaussians
 from .loss import TemperaturePair
 from .model import FitConfig, TTLRModel, fit, predict
-from .tempered import validate_count
+from .tempered import is_number, plain_number, validate_count
 
 __all__ = [
     "MethodSpec",
@@ -42,8 +42,6 @@ __all__ = [
     "summarize",
     "spec_from_config",
 ]
-
-CSV_HEADER = "method,noise_kind,noise_level,rep,lambda,accuracy,seconds"
 
 LAMBDA_RANGE = (1e-10, 1e2)
 
@@ -83,7 +81,7 @@ _TTLR_RE = re.compile(r"^ttlr\(\s*" + _FLOAT + r"\s*,\s*" + _FLOAT + r"\s*\)$")
 
 
 def parse_method(name: str) -> MethodSpec:
-    text = name.strip()
+    text = name.strip() if isinstance(name, str) else ""
     if text == "plain_lr":
         return MethodSpec(text, TemperaturePair(1.0, 1.0))
     m = _T_LR_RE.match(text)
@@ -92,7 +90,7 @@ def parse_method(name: str) -> MethodSpec:
     m = _TTLR_RE.match(text)
     if m:
         return MethodSpec(text, TemperaturePair(float(m.group(1)), float(m.group(2))))
-    raise ValueError(f"cannot parse method {name!r}: {_METHOD_GRAMMAR}")
+    raise ValueError(f"cannot parse method {plain_number(name)!r}: {_METHOD_GRAMMAR}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ class SyntheticSpec:
         if not (
             isinstance(mean, (list, tuple, np.ndarray))
             and len(mean) > 0
-            and all(_is_number(v) and math.isfinite(v) for v in mean)
+            and all(is_number(v) and math.isfinite(v) for v in mean)
         ):
             raise ValueError(
                 f"SyntheticSpec mean must be a nonempty list of finite numbers, got {mean!r}"
@@ -131,7 +129,7 @@ class FileSource:
     def __post_init__(self):
         if not isinstance(self.path, (str, os.PathLike)):
             raise ValueError(f"FileSource path must be a string, got {self.path!r}")
-        if not (0.0 < self.split < 1.0):
+        if not (is_number(self.split) and 0.0 < self.split < 1.0):
             raise ValueError("split fraction must lie strictly in (0, 1)")
 
 
@@ -175,13 +173,13 @@ class ExperimentSpec:
         object.__setattr__(self, "methods", methods)
         if self.noise_kind not in NoiseSpec.VALID_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
-        levels = tuple(float(v) for v in self.noise_levels)
+        levels = tuple(self.noise_levels)
         if not levels:
             raise ValueError("need at least one noise level")
         for level in levels:
             # range checks live in NoiseSpec; fail before the run starts
             NoiseSpec(self.noise_kind, level, seed=0, sigma=self.noise_sigma)
-        object.__setattr__(self, "noise_levels", levels)
+        object.__setattr__(self, "noise_levels", tuple(float(v) for v in levels))
         reps = validate_count(self.repetitions, "ExperimentSpec repetitions", 1)
         object.__setattr__(self, "repetitions", reps)
         object.__setattr__(self, "seed", validate_count(self.seed, "ExperimentSpec seed", 0))
@@ -191,6 +189,8 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One sweep cell; its fields, in order, are the CSV and JSON columns (lam as lambda)."""
+
     method: str
     noise_kind: str
     noise_level: float
@@ -202,6 +202,15 @@ class ResultRow:
     def __post_init__(self):
         if not (0.0 <= self.accuracy <= 1.0):
             raise ValueError("accuracy must lie in [0, 1]")
+
+
+_RENAMED = {"lam": "lambda"}  # ResultRow fields written under another column name
+CSV_HEADER = ",".join(_RENAMED.get(f.name, f.name) for f in dataclasses.fields(ResultRow))
+
+
+def _columns(row: ResultRow) -> dict:
+    """The row as {column name: value}, in column order."""
+    return {_RENAMED.get(k, k): v for k, v in dataclasses.asdict(row).items()}
 
 
 def _sub_seed(seed: int, *key) -> int:
@@ -302,12 +311,8 @@ def run_experiment(spec: ExperimentSpec) -> list:
     return [cells[key] for key in sorted(cells)]
 
 
-def _num(v: float) -> str:
-    return repr(float(v))
-
-
 def rows_to_csv(rows) -> str:
-    """The rows under CSV_HEADER, in CSV quoting.
+    """The rows under CSV_HEADER, in CSV quoting, floats in shortest repr form.
 
     A field that holds a comma, such as the method ttlr(0.6,1.6), is
     double-quoted; every other field is written bare.
@@ -316,25 +321,13 @@ def rows_to_csv(rows) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     for r in rows:
-        writer.writerow([r.method, r.noise_kind, _num(r.noise_level), r.rep,
-                         _num(r.lam), _num(r.accuracy), _num(r.seconds)])
+        values = _columns(r).values()
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in values])
     return out.getvalue()
 
 
 def rows_to_json(rows) -> str:
-    payload = [
-        {
-            "method": r.method,
-            "noise_kind": r.noise_kind,
-            "noise_level": r.noise_level,
-            "rep": r.rep,
-            "lambda": r.lam,
-            "accuracy": r.accuracy,
-            "seconds": r.seconds,
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([_columns(r) for r in rows], indent=2) + "\n"
 
 
 def summarize(rows) -> str:
@@ -358,15 +351,11 @@ def summarize(rows) -> str:
     return "\n".join(lines)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _numbers(value, name: str, many: bool = False):
     """value as a number (with many, a list of numbers as a tuple), else a located error."""
-    if many and isinstance(value, list) and all(map(_is_number, value)):
+    if many and isinstance(value, list) and all(map(is_number, value)):
         return tuple(value)
-    if not many and _is_number(value):
+    if not many and is_number(value):
         return value
     kind = "a list of numbers" if many else "a number"
     raise ValueError(f"config '{name}' must be {kind}, got {value!r}")

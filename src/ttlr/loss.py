@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import log_partition_rows, row_sum
-from .tempered import log_t, validate_temperature
+from .tempered import log_t, validate_lambda, validate_temperature
 
 __all__ = [
     "TemperaturePair",
@@ -115,8 +115,7 @@ def regularized_objective(data, W: np.ndarray, temps, lam: float):
     is exactly 0 adds the cap 1/(1-t1) to the value under t1 < 1 and +inf
     otherwise (only ever on rejected line-search trials), and no gradient.
     """
-    if not 0.0 <= lam < np.inf:
-        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
+    lam = validate_lambda(lam)
     W = np.asarray(W, dtype=float)
     X, y = data.X, np.asarray(data.y)
     n = X.shape[0]

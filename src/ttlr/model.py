@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from .data import read_json
 from .loss import TemperaturePair, as_pair, regularized_objective
 from .optimizer import OptimizationTrace, OptimizerConfig, lbfgs_minimize
 from .partition import tempered_probs_rows
-from .tempered import validate_count
+from .tempered import validate_count, validate_lambda
 
 __all__ = [
     "TTLRModel",
@@ -83,12 +84,12 @@ def fit(data, temps, lam: float, config: FitConfig | None = None, init=None) -> 
     lambda; when it is given the seed is not used. Deterministic given
     (data, temps, lam, seed, init). A dataset whose features are identically
     zero short-circuits to the zero solution with a warning recorded in the
-    trace (every W is then equivalent up to regularization).
+    trace, whose one point is that solution (every W is then equivalent up to
+    regularization, and the gradient at 0 is 0).
     """
     temps = as_pair(temps)
     config = config or FitConfig()
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
+    lam = validate_lambda(lam)
     if data.n == 0:
         raise ValueError("dataset is empty")
     if data.num_classes < 2:
@@ -110,11 +111,13 @@ def fit(data, temps, lam: float, config: FitConfig | None = None, init=None) -> 
             raise ValueError("init weights must be finite")
 
     if not values.any():
-        trace = OptimizationTrace(termination="degenerate_data")
+        W = np.zeros((d, c))
+        trace = OptimizationTrace(termination="degenerate_data", evaluations=1)
+        trace.record(regularized_objective(data, W, temps, lam)[0], 0.0, 0.0)
         trace.warnings.append(
             "all feature values are zero; returning the prior-only zero solution"
         )
-        return TTLRModel(np.zeros((d, c)), temps, float(lam), trace, data.label_table)
+        return TTLRModel(W, temps, lam, trace, data.label_table)
 
     if init is None:
         init = np.random.default_rng(config.seed).normal(0.0, INIT_STDDEV, size=(d, c))
@@ -124,7 +127,7 @@ def fit(data, temps, lam: float, config: FitConfig | None = None, init=None) -> 
         return value, grad.ravel()
 
     flat, trace = lbfgs_minimize(objective, init, config.optimizer)
-    return TTLRModel(flat.reshape(d, c), temps, float(lam), trace, data.label_table)
+    return TTLRModel(flat.reshape(d, c), temps, lam, trace, data.label_table)
 
 
 def _stored_values(X) -> np.ndarray:
@@ -186,11 +189,7 @@ def save_model(model: TTLRModel, path) -> None:
 
 def load_model(path) -> TTLRModel:
     """Read a save_model file; every malformed field is a ValueError naming it."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a model file: {path}")
     if payload.get("version") != MODEL_VERSION:
@@ -199,17 +198,19 @@ def load_model(path) -> TTLRModel:
         dim = validate_count(payload["dim"], "dim", 0)
         num_classes = validate_count(payload["num_classes"], "num_classes", 2)
         temps = TemperaturePair(payload["t1"], payload["t2"])
-        lam = float(payload["lambda"])
+        lam = validate_lambda(payload["lambda"])
         labels = tuple(float(v) for v in payload["labels"])
         W = np.array(payload["weights"], dtype=float)
     except KeyError as exc:
         raise ValueError(f"{path}: model file has no {exc.args[0]!r} field") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed model field: {exc}") from None
+    if dim == 0 and W.shape == (0,):  # a (0, C) W is written as []
+        W = W.reshape(0, num_classes)
     if W.shape != (dim, num_classes) or len(labels) != num_classes:
         raise ValueError(f"{path}: weight or label shape disagrees with the recorded dimensions")
     if not np.isfinite(W).all():
         raise ValueError(f"{path}: model weights must be finite")
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"{path}: lambda must be finite and >= 0, got {lam!r}")
+    if not np.isfinite(labels).all():
+        raise ValueError(f"{path}: model labels must be finite")
     return TTLRModel(W, temps, lam, labels=labels)

@@ -16,6 +16,7 @@ __all__ = [
     "TEMPERATURE_RANGE",
     "validate_temperature",
     "validate_count",
+    "validate_lambda",
     "log_t",
     "exp_t",
     "tsallis_entropy",
@@ -55,8 +56,24 @@ def validate_count(value, name: str, least: int | None = None, most: int | None 
         rule = f"at most {most}"
     else:
         return int(value)
-    shown = value.item() if isinstance(value, np.generic) else value  # -1, not np.int64(-1)
-    raise ValueError(f"{name} must be {rule}, got {shown!r}")
+    raise ValueError(f"{name} must be {rule}, got {plain_number(value)!r}")
+
+
+def validate_lambda(lam) -> float:
+    """The ridge weight as a float if it is a finite real number >= 0, else an error."""
+    if not (is_number(lam) and 0.0 <= lam < np.inf):
+        raise ValueError(f"lambda must be finite and >= 0, got {plain_number(lam)!r}")
+    return float(lam)
+
+
+def is_number(value) -> bool:
+    """A real number, numpy scalars included; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def plain_number(value):
+    """A numpy scalar as the Python number it holds, for messages: -1, not np.int64(-1)."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def log_t(x, t: float):
@@ -105,7 +122,8 @@ def exp_t(x, t: float):
     return out if out.ndim else float(out)
 
 
-def _check_distribution(p, name: str) -> np.ndarray:
+def check_distribution(p, name: str) -> np.ndarray:
+    """p as a nonempty 1-d vector, finite, >= 0 and summing to 1, else an error naming it."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d vector")
@@ -122,7 +140,7 @@ def tsallis_entropy(p, t: float) -> float:
     Zero-probability terms contribute exactly 0 (skipped, not computed via
     IEEE infinities). Reduces to Shannon entropy at t = 1.
     """
-    p = _check_distribution(p, "p")
+    p = check_distribution(p, "p")
     live = p > 0.0
     pl = p[live]
     return float(np.sum(pl * log_t(1.0 / pl, t)))
@@ -134,8 +152,8 @@ def tsallis_divergence(p, q, t: float) -> float:
     Terms with p_c = 0 contribute exactly 0. q_c = 0 against p_c > 0 gives
     +inf for t >= 1 and the finite saturated value for t < 1.
     """
-    p = _check_distribution(p, "p")
-    q = _check_distribution(q, "q")
+    p = check_distribution(p, "p")
+    q = check_distribution(q, "q")
     if p.shape != q.shape:
         raise ValueError("p and q must have the same length")
     live = p > 0.0

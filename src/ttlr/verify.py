@@ -75,6 +75,11 @@ class CheckResult:
         object.__setattr__(self, "tolerance", float(self.tolerance))
 
 
+def _bounded(name: str, measured, tolerance: float, detail: str, also: bool = True) -> CheckResult:
+    """A check that passes when measured is within tolerance (and `also` holds)."""
+    return CheckResult(name, also and measured <= tolerance, measured, tolerance, detail)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     suite: str
@@ -144,20 +149,10 @@ def gradient_suite(num_configs: int = 200, seed: int = 20240501) -> list:
         fd = (margin_losses(a + h, temps)[0] - margin_losses(a - h, temps)[0]) / (2.0 * h)
         worst_binary = max(worst_binary, _relative_error(analytic, fd))
     return [
-        CheckResult(
-            "regularized_objective gradient vs central differences",
-            worst_multi <= 1e-5,
-            worst_multi,
-            1e-5,
-            f"{num_configs} random (data, W, temps, lambda) configurations",
-        ),
-        CheckResult(
-            "loss_first_derivative vs central differences of margin_losses",
-            worst_binary <= 1e-5,
-            worst_binary,
-            1e-5,
-            f"{num_configs} random (margin, temps) configurations",
-        ),
+        _bounded("regularized_objective gradient vs central differences", worst_multi, 1e-5,
+                 f"{num_configs} random (data, W, temps, lambda) configurations"),
+        _bounded("loss_first_derivative vs central differences of margin_losses", worst_binary,
+                 1e-5, f"{num_configs} random (margin, temps) configurations"),
     ]
 
 
@@ -206,20 +201,10 @@ def recovery_suite(seed: int = 20240502) -> list:
     direct = -np.log(probs[np.arange(n), y - 1])
     worst_tlog = float(np.abs(losses - direct).max())
     return [
-        CheckResult(
-            "t1=t2=1 matches reference softmax regression",
-            worst <= 1e-12,
-            worst,
-            1e-12,
-            "loss, probabilities, objective and gradient on 20 random problems",
-        ),
-        CheckResult(
-            "t1=1, t2=1.6 loss equals -log of the tempered probability",
-            worst_tlog == 0.0,
-            worst_tlog,
-            0.0,
-            "bitwise agreement on 200 random activation rows",
-        ),
+        _bounded("t1=t2=1 matches reference softmax regression", worst, 1e-12,
+                 "loss, probabilities, objective and gradient on 20 random problems"),
+        _bounded("t1=1, t2=1.6 loss equals -log of the tempered probability", worst_tlog, 0.0,
+                 "bitwise agreement on 200 random activation rows"),
     ]
 
 
@@ -234,41 +219,21 @@ def curvature_suite() -> list:
                 mismatches += 1
             if rep.regime == "convex" and rep.inflection_points:
                 mismatches += 1
-    checks.append(
-        CheckResult(
-            "regime map matches the convexity predicate",
-            mismatches == 0,
-            float(mismatches),
-            0.0,
-            f"{len(REGIME_GRID) ** 2} temperature pairs on [-10, 10]",
-        )
-    )
+    checks.append(_bounded("regime map matches the convexity predicate", mismatches, 0.0,
+                           f"{len(REGIME_GRID) ** 2} temperature pairs on [-10, 10]"))
     points = find_inflection((0.6, 1.6), -20.0, 5.0)
     resid = abs(inflection_residual(points[0], (0.6, 1.6))) if points else np.inf
-    checks.append(
-        CheckResult(
-            "t1=0.6, t2=1.6 has exactly one inflection on [-20, 5]",
-            len(points) == 1 and resid <= 1e-6,
-            resid,
-            1e-6,
-            f"found {len(points)} point(s) at {[round(p, 6) for p in points]}",
-        )
-    )
+    checks.append(_bounded("t1=0.6, t2=1.6 has exactly one inflection on [-20, 5]", resid, 1e-6,
+                           f"found {len(points)} point(s) at {[round(p, 6) for p in points]}",
+                           also=len(points) == 1))
     worst_violation = 0.0
     grid = np.linspace(-10.0, 10.0, 801)
     for t1, t2 in [(1.0, 1.0), (1.3, 1.0), (1.6, 1.0), (1.3, 0.7), (1.6, 0.4), (1.2, 1.2)]:
         d2_loss = loss_second_derivative(grid, (t1, t2))
         _, _, d2_G = margin_derivatives(grid, t2)
         worst_violation = max(worst_violation, float((d2_G - d2_loss).max()))
-    checks.append(
-        CheckResult(
-            "convex regimes are at least as curved as the partition term",
-            worst_violation <= 1e-9,
-            worst_violation,
-            1e-9,
-            "pointwise on [-10, 10] for six convex pairs",
-        )
-    )
+    checks.append(_bounded("convex regimes are at least as curved as the partition term",
+                           worst_violation, 1e-9, "pointwise on [-10, 10] for six convex pairs"))
     return checks
 
 
@@ -287,30 +252,13 @@ def bayes_suite(num_multiclass: int = 100, seed: int = 20240503) -> list:
             if eta == 0.5:
                 worst_center = max(worst_center, abs(chk.a_star_numeric))
     checks = [
-        CheckResult(
-            "binary minimizer matches the closed form",
-            worst_gap <= 1e-5,
-            worst_gap,
-            1e-5,
-            f"{len(etas)} etas x {len(temps_list)} temperature pairs",
-        ),
-        CheckResult(
-            "sign of the minimizer follows the posterior",
-            sign_failures == 0,
-            float(sign_failures),
-            0.0,
-            "sign(a*) = sign(eta - 1/2) across the sweep",
-        ),
+        _bounded("binary minimizer matches the closed form", worst_gap, 1e-5,
+                 f"{len(etas)} etas x {len(temps_list)} temperature pairs"),
+        _bounded("sign of the minimizer follows the posterior", sign_failures, 0.0,
+                 "sign(a*) = sign(eta - 1/2) across the sweep"),
+        _bounded("eta = 1/2 gives a zero minimizer", worst_center, 1e-6,
+                 "symmetry at the decision boundary"),
     ]
-    checks.append(
-        CheckResult(
-            "eta = 1/2 gives a zero minimizer",
-            worst_center <= 1e-6,
-            worst_center,
-            1e-6,
-            "symmetry at the decision boundary",
-        )
-    )
     rng = np.random.default_rng(seed)
     worst_dev = 0.0
     argmax_failures = 0
@@ -323,15 +271,11 @@ def bayes_suite(num_multiclass: int = 100, seed: int = 20240503) -> list:
         worst_dev = max(worst_dev, chk.max_deviation)
         if not chk.argmax_preserved:
             argmax_failures += 1
-    checks.append(
-        CheckResult(
-            "multiclass minimizer tilts the posterior by 1/t1",
-            worst_dev <= 1e-4 and argmax_failures == 0,
-            worst_dev,
-            1e-4,
-            f"{num_multiclass} random posteriors, C in 3..5, argmax failures: {argmax_failures}",
-        )
-    )
+    checks.append(_bounded(
+        "multiclass minimizer tilts the posterior by 1/t1", worst_dev, 1e-4,
+        f"{num_multiclass} random posteriors, C in 3..5, argmax failures: {argmax_failures}",
+        also=argmax_failures == 0,
+    ))
     return checks
 
 

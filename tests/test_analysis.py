@@ -1,6 +1,7 @@
 """Curvature diagnostics, inflection location, and Bayes-minimizer checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -301,6 +302,23 @@ def test_bayes_multiclass_validates_input():
     for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5]):
         with pytest.raises(ValueError, match="p must be finite and strictly positive"):
             bayes_multiclass_check(bad, TemperaturePair(0.6, 1.6))
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        # the tolerance and wording of every other sum-to-one check
+        ([0.5, 0.5 + 2**-20], "p must sum to 1, got 1.0000009536743164"),
+        ([[0.5, 0.5]], "p must be a nonempty 1-d vector"),
+        ([], "p must be a nonempty 1-d vector"),
+        ([1.0], "p must have at least 2 classes"),
+    ],
+)
+def test_bayes_multiclass_checks_the_posterior_like_every_distribution(p, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bayes_multiclass_check(p, TemperaturePair(1.0, 1.0))
+    # within NORMALIZATION_TOL is a distribution
+    assert bayes_multiclass_check([0.5, 0.5 + 1e-9], TemperaturePair(1.0, 1.0)).ok
 
 
 @pytest.mark.parametrize(

@@ -377,3 +377,35 @@ def test_module_entry_point(tmp_path):
     )
     assert cp.returncode == 0
     assert "PASS" in cp.stdout
+
+
+@pytest.mark.parametrize("text, dim", [("1 1:0\n2 1:0\n", 1), ("1\n2\n", 0)])
+def test_train_and_predict_on_data_without_usable_features(tmp_path, capsys, text, dim):
+    data, model = tmp_path / "d.svm", tmp_path / "m.json"
+    data.write_text(text)
+    assert main(["train", "--data", str(data), "--out", str(model)]) == 0
+    out = capsys.readouterr().out
+    assert f"dim {dim}, 2 classes: objective 0.693147, 0 iterations, degenerate_data" in out
+    assert main(["predict", "--model", str(model), "--data", str(data)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "1\n1\n"
+    assert captured.err == "accuracy 0.5000 on 2 examples\n"
+
+
+@pytest.mark.parametrize("command", ["predict", "sweep", "train"])
+def test_every_file_the_cli_reads_is_named_in_its_error(tmp_path, capsys, train_file, command):
+    model = tmp_path / "m.json"
+    assert main(["train", "--data", str(train_file), "--out", str(model)]) == 0
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff{}")
+    argv = {
+        "predict": ["predict", "--model", "{}", "--data", str(train_file)],
+        "sweep": ["sweep", "--config", "{}"],
+        "train": ["train", "--data", "{}", "--out", str(model)],
+    }[command]
+    for path, message in ((bad, f"{bad}: 'utf-8' codec can't decode"),
+                          (tmp_path, f"cannot read {tmp_path}: Is a directory")):
+        capsys.readouterr()
+        assert main([str(path) if a == "{}" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1

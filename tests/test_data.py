@@ -16,6 +16,7 @@ from ttlr.data import (
     inject_outlier_noise,
     inject_random_flip,
     parse_libsvm,
+    read_json,
     read_libsvm,
     serialize_libsvm,
     synth_gaussians,
@@ -107,6 +108,27 @@ def test_read_libsvm_names_the_path(tmp_path):
     path.write_bytes(b"1 1:1\n2 1:\xff\n")
     with pytest.raises(DataFormatError, match=re.escape(f"{path}: 'utf-8' codec can't decode")):
         read_libsvm(path)
+
+
+def test_read_json_names_the_path(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"a": [1, 2.5]}')
+    assert read_json(path) == {"a": [1, 2.5]}
+    with pytest.raises(ValueError, match=re.escape(f"cannot read {tmp_path / 'no.json'}: No such")):
+        read_json(tmp_path / "no.json")
+    for content, message in [
+        (b'{"a": ', f"{path} is not valid JSON: Expecting value"),
+        (b"\xff{}", f"{path}: 'utf-8' codec can't decode"),
+        (b"[" * 100000, f"{path}: maximum recursion depth exceeded"),
+        (b'{"dim": ' + b"9" * 5000 + b"}", f"{path}: Exceeds the limit"),
+    ]:
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_json(path)
+    # a directory is an unreadable file, for both readers
+    for reader in (read_json, read_libsvm):
+        with pytest.raises(ValueError, match=re.escape(f"cannot read {tmp_path}: Is a directory")):
+            reader(tmp_path)
 
 
 def test_serialize_round_trip_is_exact():

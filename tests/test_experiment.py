@@ -1,6 +1,7 @@
 """Noise-robustness sweep harness: seeding, CV, row layout, serialization."""
 
 import csv
+import dataclasses
 import json
 import math
 import pathlib
@@ -16,6 +17,7 @@ from ttlr.experiment import (
     CrossValSpec,
     ExperimentSpec,
     FileSource,
+    ResultRow,
     SyntheticSpec,
     default_lambda_grid,
     parse_method,
@@ -137,6 +139,30 @@ def test_specs_built_directly_name_a_bad_count(build, message):
 def test_specs_built_directly_name_a_bad_field(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: NoiseSpec("outlier", np.float64(0.7), 0),
+         "noise level (ratio) must lie in [0, 0.5], got 0.7"),
+        (lambda: NoiseSpec("random_flip", np.float32(1.5), 0),
+         "noise level (flip probability) must lie in [0, 1], got 1.5"),
+        (lambda: NoiseSpec("outlier", 0.1, 0, sigma=np.int64(-2)),
+         "noise sigma must be finite and > 0, got -2"),
+        (lambda: NoiseSpec("outlier", "0.1", 0), "noise level (ratio) must lie in [0, 0.5], got '0.1'"),
+        (lambda: tiny_spec(methods=(1.6,)), "cannot parse method 1.6: method must be"),
+        (lambda: tiny_spec(noise_sigma="10"), "noise sigma must be finite and > 0, got '10'"),
+        (lambda: tiny_spec(noise_levels=(None,)),
+         "noise level (ratio) must lie in [0, 0.5], got None"),
+        (lambda: FileSource("x.svm", split="0.5"), "split fraction must lie strictly in (0, 1)"),
+    ],
+)
+def test_specs_built_directly_name_a_mistyped_or_numpy_value(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value).startswith(message)
+    assert "np." not in str(err.value)
 
 
 def test_specs_built_directly_keep_integer_counts():
@@ -346,6 +372,18 @@ def test_rows_to_csv_layout():
     assert all(len(f) == 7 for f in parsed)
     assert tempered[0][0] == "ttlr(0.6,1.6)"
     assert '"ttlr(0.6,1.6)",outlier,' in text
+
+
+def test_sweep_columns_are_the_result_row_fields():
+    rows = run_experiment(tiny_spec(repetitions=1, noise_levels=(0.0,)))
+    fields = [f.name for f in dataclasses.fields(ResultRow)]
+    assert CSV_HEADER.split(",") == [("lambda" if f == "lam" else f) for f in fields]
+    payload = json.loads(rows_to_json(rows))
+    assert [list(record) for record in payload] == [CSV_HEADER.split(",")] * len(rows)
+    parsed = list(csv.reader(rows_to_csv(rows).splitlines()))
+    for row, record, line in zip(rows, payload, parsed[1:]):
+        assert record["lambda"] == row.lam and line[4] == repr(row.lam)
+        assert line == [repr(v) if isinstance(v, float) else str(v) for v in record.values()]
 
 
 def test_rows_to_json_round_trip():

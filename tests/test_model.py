@@ -1,6 +1,7 @@
 """Model fitting, prediction, persistence, and input validation."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -146,6 +147,34 @@ def test_degenerate_all_zero_features():
         assert model.trace.warnings
         # ties resolve to the lowest class index
         assert predict(model, data.X).tolist() == [1] * 6
+
+
+def test_degenerate_trace_records_its_one_point():
+    data = parse_libsvm("1 1:0\n2 1:0\n")
+    model = fit(data, temps=(1.0, 1.0), lam=0.1)
+    trace = model.trace
+    # zero activations give uniform probabilities: the mean loss is ln 2
+    assert trace.objective_values == [pytest.approx(math.log(2.0), rel=1e-15)]
+    assert (trace.grad_sup_norms, trace.step_lengths) == ([0.0], [0.0])
+    assert (trace.evaluations, trace.iterations, trace.backtracks) == (1, 0, 0)
+    assert trace.objective_values[0] == regularized_objective(data, model.W, (1.0, 1.0), 0.1)[0]
+
+
+def test_zero_feature_model_round_trips(tmp_path):
+    data = parse_libsvm("1\n2\n")
+    model = fit(data, temps=(1.0, 1.0), lam=1e-4)
+    assert model.W.shape == (0, 2)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert back.W.shape == (0, 2) and back.labels == (1.0, 2.0)
+    assert predict(back, data.X).tolist() == [1, 1]
+    # any other empty weight list still disagrees with its dimensions
+    payload = json.loads(path.read_text())
+    for field, value in (("dim", 1), ("weights", [[]]), ("weights", [[], []])):
+        path.write_text(json.dumps({**payload, field: value}))
+        with pytest.raises(ValueError, match="weight or label shape disagrees"):
+            load_model(path)
 
 
 def test_save_load_round_trip(tmp_path, blobs):
@@ -322,3 +351,24 @@ def test_load_rejects_nonfinite_payload(tmp_path, blobs):
         with pytest.raises(ValueError, match=message) as err:
             load_model(path)
         assert str(path) in str(err.value)
+
+
+def test_load_names_the_file_it_cannot_read(tmp_path, blobs):
+    path = tmp_path / "model.json"
+    save_model(fit(blobs, temps=(1.0, 1.0), lam=1e-3), path)
+    payload = json.loads(path.read_text())
+    cases = [
+        (json.dumps({**payload, "labels": [float("inf"), 2.0]}), "model labels must be finite"),
+        (json.dumps({**payload, "lambda": "0.001"}),
+         "malformed model field: lambda must be finite and >= 0, got '0.001'"),
+        (b"\xff{}", "'utf-8' codec can't decode"),
+    ]
+    for content, message in cases:
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
+    with pytest.raises(ValueError, match=re.escape(f"cannot read {tmp_path}: Is a directory")):
+        load_model(tmp_path)

@@ -14,6 +14,7 @@ from ttlr.tempered import (
     tsallis_divergence,
     tsallis_entropy,
     validate_count,
+    validate_lambda,
     validate_temperature,
 )
 
@@ -130,6 +131,23 @@ def test_validate_count_message(value, message):
     with pytest.raises(ValueError) as err:
         validate_count(value, "n", 0, 10)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "lam, shown",
+    [(np.float64("nan"), "nan"), (float("inf"), "inf"), (-1, "-1"), (np.float32(-0.5), "-0.5"),
+     ("0.1", "'0.1'"), (True, "True"), (None, "None"), ([0.1], "[0.1]")],
+)
+def test_validate_lambda_names_a_bad_value_plainly(lam, shown):
+    with pytest.raises(ValueError) as err:
+        validate_lambda(lam)
+    assert str(err.value) == f"lambda must be finite and >= 0, got {shown}"
+
+
+def test_validate_lambda_returns_a_float():
+    for lam, want in ((0, 0.0), (np.float64(1e-3), 1e-3), (np.int64(2), 2.0), (1e300, 1e300)):
+        value = validate_lambda(lam)
+        assert value == want and type(value) is float
 
 
 def test_validate_count_bounds_are_inclusive():
