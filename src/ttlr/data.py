@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .tempered import is_number, plain_number
+from .tempered import is_number, plain_number, validate_count
 
 __all__ = [
     "Dataset",
@@ -134,6 +134,7 @@ class NoiseSpec:
         if self.kind not in self.VALID_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         _check_noise(self.kind, self.level, self.sigma)
+        object.__setattr__(self, "seed", validate_count(self.seed, "NoiseSpec seed", 0))
 
     def apply(self, data: Dataset) -> Dataset:
         if self.level == 0.0:
@@ -326,8 +327,14 @@ def inject_outlier_noise(data: Dataset, sigma: float, ratio: float, seed: int) -
     rng = np.random.default_rng(seed)
     chosen = rng.choice(data.n, size=k, replace=False)
     noise = rng.normal(0.0, sigma, size=(k, data.dim))
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        moved = data.X[chosen] + noise
+    if not np.isfinite(moved).all():
+        raise ValueError(
+            f"outlier noise of sigma {plain_number(sigma)!r} overflows a feature to infinity"
+        )
     X = data.X.tolil(copy=True) if sparse.issparse(data.X) else data.X.copy()
-    X[chosen] = data.X[chosen] + noise
+    X[chosen] = moved
     return Dataset(X, data.y, data.num_classes, data.label_table)
 
 

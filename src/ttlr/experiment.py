@@ -93,6 +93,23 @@ def parse_method(name: str) -> MethodSpec:
     raise ValueError(f"cannot parse method {plain_number(name)!r}: {_METHOD_GRAMMAR}")
 
 
+def _check(ok: bool, name: str, rule: str, value) -> None:
+    """The one form of a spec field's error: the field, its rule and the value given."""
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {plain_number(value)!r}")
+
+
+def _list_of(value, name: str, what: str, ok=None) -> tuple:
+    """value as a tuple if it is a nonempty list, tuple or array whose entries pass ok."""
+    _check(
+        isinstance(value, (list, tuple, np.ndarray))
+        and len(value) > 0
+        and (ok is None or all(map(ok, value))),
+        name, f"a nonempty list of {what}", value,
+    )
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Two balanced Gaussian classes at +/- mean with unit covariance."""
@@ -105,15 +122,8 @@ class SyntheticSpec:
         for name in ("train_per_class", "test_per_class"):
             count = validate_count(getattr(self, name), f"SyntheticSpec {name}", 1, MAX_PER_CLASS)
             object.__setattr__(self, name, count)
-        mean = self.mean
-        if not (
-            isinstance(mean, (list, tuple, np.ndarray))
-            and len(mean) > 0
-            and all(is_number(v) and math.isfinite(v) for v in mean)
-        ):
-            raise ValueError(
-                f"SyntheticSpec mean must be a nonempty list of finite numbers, got {mean!r}"
-            )
+        mean = _list_of(self.mean, "SyntheticSpec mean", "finite numbers",
+                        lambda v: is_number(v) and math.isfinite(v))
         if not any(mean):
             raise ValueError("SyntheticSpec mean must not be all zeros: +mean and -mean coincide")
         object.__setattr__(self, "mean", tuple(float(v) for v in mean))
@@ -127,10 +137,10 @@ class FileSource:
     split: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.path, (str, os.PathLike)):
-            raise ValueError(f"FileSource path must be a string, got {self.path!r}")
-        if not (is_number(self.split) and 0.0 < self.split < 1.0):
-            raise ValueError("split fraction must lie strictly in (0, 1)")
+        _check(isinstance(self.path, (str, os.PathLike)), "FileSource path", "a string", self.path)
+        _check(is_number(self.split) and 0.0 < self.split < 1.0,
+               "FileSource split", "a fraction strictly in (0, 1)", self.split)
+        object.__setattr__(self, "split", float(self.split))
 
 
 @dataclass(frozen=True)
@@ -140,16 +150,10 @@ class CrossValSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "folds", validate_count(self.folds, "CrossValSpec folds", 2))
-        grid = tuple(float(v) for v in self.lambda_grid)
-        if not grid:
-            raise ValueError("lambda grid is empty")
-        for v in grid:
-            if not np.isfinite(v):
-                raise ValueError(f"lambda grid entries must be finite, got {v!r}")
         lo, hi = LAMBDA_RANGE
-        if min(grid) < lo or max(grid) > hi:
-            raise ValueError(f"lambda grid must lie within [{lo}, {hi}]")
-        object.__setattr__(self, "lambda_grid", grid)
+        grid = _list_of(self.lambda_grid, "CrossValSpec lambda_grid", f"numbers in [{lo}, {hi}]",
+                        lambda v: is_number(v) and lo <= v <= hi)
+        object.__setattr__(self, "lambda_grid", tuple(float(v) for v in grid))
 
 
 @dataclass(frozen=True)
@@ -165,26 +169,27 @@ class ExperimentSpec:
     time_fits: bool = False
 
     def __post_init__(self):
-        methods = tuple(
-            m if isinstance(m, MethodSpec) else parse_method(m) for m in self.methods
-        )
-        if not methods:
-            raise ValueError("need at least one method")
-        object.__setattr__(self, "methods", methods)
-        if self.noise_kind not in NoiseSpec.VALID_KINDS:
-            raise ValueError(f"unknown noise kind {self.noise_kind!r}")
-        levels = tuple(self.noise_levels)
-        if not levels:
-            raise ValueError("need at least one noise level")
+        methods = _list_of(self.methods, "ExperimentSpec methods", "methods")
+        object.__setattr__(self, "methods", tuple(
+            m if isinstance(m, MethodSpec) else parse_method(m) for m in methods
+        ))
+        levels = _list_of(self.noise_levels, "ExperimentSpec noise_levels", "noise levels")
         for level in levels:
-            # range checks live in NoiseSpec; fail before the run starts
+            # the kind, level and sigma rules are NoiseSpec's; fail before the run starts
             NoiseSpec(self.noise_kind, level, seed=0, sigma=self.noise_sigma)
+        # NoiseSpec checks sigma for the outlier kind only; the flip kinds ignore it
+        _check(is_number(self.noise_sigma), "ExperimentSpec noise_sigma", "a number",
+               self.noise_sigma)
         object.__setattr__(self, "noise_levels", tuple(float(v) for v in levels))
+        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
+        _check(isinstance(self.cv, CrossValSpec), "ExperimentSpec cv", "a CrossValSpec", self.cv)
         reps = validate_count(self.repetitions, "ExperimentSpec repetitions", 1)
         object.__setattr__(self, "repetitions", reps)
         object.__setattr__(self, "seed", validate_count(self.seed, "ExperimentSpec seed", 0))
-        if not isinstance(self.data, (SyntheticSpec, FileSource)):
-            raise ValueError("data must be a SyntheticSpec or FileSource")
+        _check(isinstance(self.data, (SyntheticSpec, FileSource)),
+               "ExperimentSpec data", "a SyntheticSpec or FileSource", self.data)
+        _check(isinstance(self.time_fits, bool), "ExperimentSpec time_fits", "True or False",
+               self.time_fits)
 
 
 @dataclass(frozen=True)
@@ -351,16 +356,6 @@ def summarize(rows) -> str:
     return "\n".join(lines)
 
 
-def _numbers(value, name: str, many: bool = False):
-    """value as a number (with many, a list of numbers as a tuple), else a located error."""
-    if many and isinstance(value, list) and all(map(is_number, value)):
-        return tuple(value)
-    if not many and is_number(value):
-        return value
-    kind = "a list of numbers" if many else "a number"
-    raise ValueError(f"config '{name}' must be {kind}, got {value!r}")
-
-
 def _section(config: dict, key: str, keys) -> dict:
     """A copy of the JSON object config[key] (default {}) holding only `keys`, else an error."""
     section = config.get(key, {})
@@ -382,6 +377,14 @@ def spec_from_config(config: dict) -> ExperimentSpec:
       data: {train_per_class, test_per_class, mean}
             or {path, split}
       repetitions, seed, time_fits: scalars
+
+    Only the JSON shape is checked here: the root and each section must be
+    objects without unknown keys, methods must be present, and lambda_points
+    (the one key no spec field holds) must be a count of at most
+    MAX_LAMBDA_POINTS. Every value is checked by the spec it fills, so a bad
+    value reads as it would given to the spec directly: cv.* fills
+    CrossValSpec, data.* SyntheticSpec or FileSource, noise.x the
+    ExperimentSpec field noise_x, and every other key its ExperimentSpec field.
     """
     if not isinstance(config, dict):
         raise ValueError("config root must be a JSON object")
@@ -391,51 +394,22 @@ def spec_from_config(config: dict) -> ExperimentSpec:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "methods" not in config:
         raise ValueError("config needs a 'methods' list")
-    methods = config["methods"]
-    if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
-        raise ValueError(f"config 'methods' must be a list of strings, got {methods!r}")
-    kwargs = {"methods": tuple(methods)}
+    kwargs = {key: config[key] for key in ("methods", "repetitions", "seed", "time_fits")
+              if key in config}
     noise = _section(config, "noise", ("kind", "levels", "sigma"))
-    if "levels" in noise:
-        noise["levels"] = _numbers(noise["levels"], "noise.levels", many=True)
-    if "sigma" in noise:
-        noise["sigma"] = float(_numbers(noise["sigma"], "noise.sigma"))
     kwargs.update((f"noise_{key}", value) for key, value in noise.items())
     cv = _section(config, "cv", ("folds", "lambda_grid", "lambda_points"))
-    if "lambda_grid" in cv and "lambda_points" in cv:
-        raise ValueError("give either lambda_grid or lambda_points, not both")
-    if "folds" in cv:
-        cv["folds"] = validate_count(cv["folds"], "config 'cv.folds'")
-    if "lambda_grid" in cv:
-        cv["lambda_grid"] = _numbers(cv["lambda_grid"], "cv.lambda_grid", many=True)
     if "lambda_points" in cv:
+        if "lambda_grid" in cv:
+            raise ValueError("give either lambda_grid or lambda_points, not both")
         name = "config 'cv.lambda_points'"
         points = validate_count(cv.pop("lambda_points"), name, 1, MAX_LAMBDA_POINTS)
         cv["lambda_grid"] = default_lambda_grid(points)
     kwargs["cv"] = CrossValSpec(**cv)
     from_file = isinstance(config.get("data"), dict) and "path" in config["data"]
-    data = _section(config, "data", ("path", "split") if from_file
-                    else ("train_per_class", "test_per_class", "mean"))
     if from_file:
-        if not isinstance(data["path"], str):
-            raise ValueError(f"config 'data.path' must be a string, got {data['path']!r}")
-        if "split" in data:
-            data["split"] = float(_numbers(data["split"], "data.split"))
-        kwargs["data"] = FileSource(**data)
+        kwargs["data"] = FileSource(**_section(config, "data", ("path", "split")))
     else:
-        for key in ("train_per_class", "test_per_class"):
-            if key in data:
-                data[key] = validate_count(data[key], f"config 'data.{key}'")
-        if "mean" in data:
-            data["mean"] = _numbers(data["mean"], "data.mean", many=True)
-        kwargs["data"] = SyntheticSpec(**data)
-    for key, least in (("repetitions", None), ("seed", 0)):
-        if key in config:
-            kwargs[key] = validate_count(config[key], f"config '{key}'", least)
-    if "time_fits" in config:
-        if not isinstance(config["time_fits"], bool):
-            raise ValueError(
-                f"config 'time_fits' must be true or false, got {config['time_fits']!r}"
-            )
-        kwargs["time_fits"] = config["time_fits"]
+        keys = ("train_per_class", "test_per_class", "mean")
+        kwargs["data"] = SyntheticSpec(**_section(config, "data", keys))
     return ExperimentSpec(**kwargs)

@@ -121,7 +121,12 @@ def regularized_objective(data, W: np.ndarray, temps, lam: float):
     n = X.shape[0]
     if n == 0:
         raise ValueError("dataset is empty")
-    losses, dA = activation_terms(np.asarray(X @ W, dtype=float), y, temps)
-    value = float(np.mean(losses)) + 0.5 * lam * float(np.sum(W * W))
-    grad = np.asarray(X.T @ dA, dtype=float) / n + lam * W
+    # A rejected line-search trial may overflow the activations or the ridge
+    # term; its value is then inf or NaN, and the search backs off.
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = np.asarray(X @ W, dtype=float)
+    losses, dA = activation_terms(A, y, temps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.mean(losses)) + 0.5 * lam * float(np.sum(W * W))
+        grad = np.asarray(X.T @ dA, dtype=float) / n + lam * W
     return value, grad

@@ -132,13 +132,16 @@ def lbfgs_minimize(objective, init, config: OptimizerConfig | None = None):
     best_gnorm, stalled = gnorm, 0
     for _ in range(config.max_iters):
         d = _two_loop_direction(g, memory)
-        slope = float(d @ g)
-        if slope >= 0.0:
-            # Stale curvature made the direction non-descent; restart from
-            # steepest descent.
-            memory.clear()
-            d = -g
+        # A gradient near the float limit overflows the slope to -inf or NaN;
+        # no trial then passes Armijo, and the search fails as it should.
+        with np.errstate(over="ignore", invalid="ignore"):
             slope = float(d @ g)
+            if slope >= 0.0:
+                # Stale curvature made the direction non-descent; restart
+                # from steepest descent.
+                memory.clear()
+                d = -g
+                slope = float(d @ g)
 
         step = 1.0
         accepted = False

@@ -141,7 +141,10 @@ def _solve_rows(A: np.ndarray, t2: float, top: float, out: PartitionRows) -> Non
     n = A.shape[0]
     G, res, iters, P, powered = out
     m = _row_max(A)
-    B = A - m[:, None]
+    # A trial step's activations may reach +/-inf: inf - inf is NaN and a
+    # huge gap overflows to -inf, values the rejected trial already handles.
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = A - m[:, None]
 
     if abs(1.0 - t2) < T_SWITCH:
         # Closed form: shifted log-sum-exp; powered is P.
@@ -172,7 +175,8 @@ def _solve_rows(A: np.ndarray, t2: float, top: float, out: PartitionRows) -> Non
             # at kx = 0 and zero them after, which keeps the slow special
             # cases log1p(-1) = -inf and exp(-inf) out of the pass.
             on = kx > -1.0
-            kx *= on
+            with np.errstate(invalid="ignore"):  # -inf * 0 from an overflowed trial
+                kx *= on
         u = kx + 1.0
         p = np.log1p(kx, out=kx)
         p /= k

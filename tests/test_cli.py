@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -355,10 +356,47 @@ def test_sweep_reports_a_bad_config_file(tmp_path, capsys, text, flags, message)
     assert captured.out == ""
 
 
-def test_noise_reports_a_bad_level(train_file, capsys):
-    argv = ["noise", "--data", str(train_file), "--kind", "outlier", "--level", "0.7"]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == "noise level (ratio) must lie in [0, 0.5], got 0.7\n"
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kind=outlier", "--level=0.7"], "noise level (ratio) must lie in [0, 0.5], got 0.7"),
+        # the seed is refused as the noise's own setting, whichever kind draws with it
+        (["--kind=outlier", "--level=0.5", "--seed=-1"],
+         "NoiseSpec seed must be an integer >= 0, got -1"),
+        (["--kind=margin_flip", "--level=0.5", "--seed=-3"],
+         "NoiseSpec seed must be an integer >= 0, got -3"),
+        # a finite sigma whose draws overflow would write inf, which no reader accepts
+        (["--kind=outlier", "--level=0.5", "--sigma=1.7976931348623157e308"],
+         "outlier noise of sigma 1.7976931348623157e+308 overflows a feature to infinity"),
+    ],
+)
+def test_noise_reports_a_bad_level(train_file, capsys, flags, message):
+    assert main(["noise", "--data", str(train_file), *flags]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, lam, line",
+    [
+        # trial steps overflow the activations, and the normalizer's row shift meets inf - inf
+        ("1 1:1\n2 1:-1\n1 1:1e308\n", "1e-4",
+         "fit 3 examples, dim 1, 2 classes: objective 0.018377, 26 iterations, "
+         "line_search_failed"),
+        # the first trial step overflows the ridge term, its gradient and the slope
+        ("1 1:1\n2 1:-1\n", "1e300",
+         f"fit 2 examples, dim 1, 2 classes: objective {1.6629891700703567e288:.6f}, "
+         "0 iterations, line_search_failed"),
+    ],
+    ids=["features 1e308", "lambda 1e300"],
+)
+def test_train_on_extreme_values_leaks_no_runtime_warning(tmp_path, capsys, text, lam, line):
+    data, model = tmp_path / "d.svm", tmp_path / "m.json"
+    data.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--data", str(data), f"--lambda={lam}", "--out", str(model)]) == 0
+    assert caught == []
+    assert capsys.readouterr().out == f"{line}\nmodel written to {model}\n"
 
 
 def test_bad_temperature_is_reported(tmp_path, train_file, capsys):

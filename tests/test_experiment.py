@@ -89,7 +89,9 @@ def test_cross_val_spec_validation():
 
 def test_cross_val_spec_rejects_nonfinite_grid_entries():
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match=f"lambda grid entries must be finite, got {bad}"):
+        message = (f"CrossValSpec lambda_grid must be a nonempty list of numbers in "
+                   f"[1e-10, 100.0], got (0.001, {bad})")
+        with pytest.raises(ValueError, match=re.escape(message)):
             CrossValSpec(lambda_grid=(1e-3, bad))
 
 
@@ -132,8 +134,25 @@ def test_specs_built_directly_name_a_bad_count(build, message):
         (lambda: SyntheticSpec(mean=[0.0, -0.0]), "SyntheticSpec mean must not be all zeros"),
         # an int path would open a file descriptor
         (lambda: FileSource(99), "FileSource path must be a string, got 99"),
-        (lambda: tiny_spec(noise_levels=()), "need at least one noise level"),
-        (lambda: tiny_spec(data="blobs.svm"), "data must be a SyntheticSpec or FileSource"),
+        (lambda: tiny_spec(noise_levels=()),
+         "ExperimentSpec noise_levels must be a nonempty list of noise levels, got ()"),
+        (lambda: tiny_spec(data="blobs.svm"),
+         "ExperimentSpec data must be a SyntheticSpec or FileSource, got 'blobs.svm'"),
+        # wrongly typed fields name the field instead of failing later or per character
+        (lambda: tiny_spec(methods=5),
+         "ExperimentSpec methods must be a nonempty list of methods, got 5"),
+        (lambda: tiny_spec(methods="plain_lr"),
+         "ExperimentSpec methods must be a nonempty list of methods, got 'plain_lr'"),
+        (lambda: tiny_spec(cv=5), "ExperimentSpec cv must be a CrossValSpec, got 5"),
+        (lambda: CrossValSpec(lambda_grid=(None,)),
+         "CrossValSpec lambda_grid must be a nonempty list of numbers in [1e-10, 100.0], "
+         "got (None,)"),
+        (lambda: CrossValSpec(lambda_grid=5),
+         "CrossValSpec lambda_grid must be a nonempty list of numbers in [1e-10, 100.0], got 5"),
+        (lambda: tiny_spec(noise_levels=0.1),
+         "ExperimentSpec noise_levels must be a nonempty list of noise levels, got 0.1"),
+        (lambda: tiny_spec(time_fits="no"),
+         "ExperimentSpec time_fits must be True or False, got 'no'"),
     ],
 )
 def test_specs_built_directly_name_a_bad_field(build, message):
@@ -151,11 +170,18 @@ def test_specs_built_directly_name_a_bad_field(build, message):
         (lambda: NoiseSpec("outlier", 0.1, 0, sigma=np.int64(-2)),
          "noise sigma must be finite and > 0, got -2"),
         (lambda: NoiseSpec("outlier", "0.1", 0), "noise level (ratio) must lie in [0, 0.5], got '0.1'"),
+        (lambda: NoiseSpec("outlier", 0.1, "x"),
+         "NoiseSpec seed must be an integer >= 0, got 'x'"),
+        (lambda: NoiseSpec("margin_flip", 0.1, np.int64(-3)),
+         "NoiseSpec seed must be an integer >= 0, got -3"),
         (lambda: tiny_spec(methods=(1.6,)), "cannot parse method 1.6: method must be"),
         (lambda: tiny_spec(noise_sigma="10"), "noise sigma must be finite and > 0, got '10'"),
         (lambda: tiny_spec(noise_levels=(None,)),
          "noise level (ratio) must lie in [0, 0.5], got None"),
-        (lambda: FileSource("x.svm", split="0.5"), "split fraction must lie strictly in (0, 1)"),
+        (lambda: FileSource("x.svm", split="0.5"),
+         "FileSource split must be a fraction strictly in (0, 1), got '0.5'"),
+        (lambda: tiny_spec(noise_kind="random_flip", noise_sigma=np.str_("x")),
+         "ExperimentSpec noise_sigma must be a number, got 'x'"),
     ],
 )
 def test_specs_built_directly_name_a_mistyped_or_numpy_value(build, message):
@@ -523,9 +549,9 @@ def test_spec_from_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         spec_from_config({"methods": ["plain_lr"], "cv": {"lambda_points": 3, "lambda_grid": [1.0]}})
     # wrongly typed sections name their key instead of failing per character
-    with pytest.raises(ValueError, match="'methods' must be a list of strings"):
+    with pytest.raises(ValueError, match="ExperimentSpec methods must be a nonempty list"):
         spec_from_config({"methods": "plain_lr"})
-    with pytest.raises(ValueError, match="'methods' must be a list of strings"):
+    with pytest.raises(ValueError, match="cannot parse method 1.6: method must be"):
         spec_from_config({"methods": ["plain_lr", 1.6]})
     for key in ("noise", "cv", "data"):
         with pytest.raises(ValueError, match=f"'{key}' must be a JSON object"):
@@ -535,53 +561,94 @@ def test_spec_from_config_rejects_unknown_keys():
 @pytest.mark.parametrize(
     "section,body,where",
     [
-        ("noise", {"levels": 0.2}, "noise.levels"),
-        ("noise", {"levels": "0.2"}, "noise.levels"),
-        ("cv", {"lambda_grid": "1e-3"}, "cv.lambda_grid"),
-        ("data", {"mean": 2.0}, "data.mean"),
+        ("noise", {"levels": 0.2}, "ExperimentSpec noise_levels"),
+        ("noise", {"levels": "0.2"}, "ExperimentSpec noise_levels"),
+        ("cv", {"lambda_grid": "1e-3"}, "CrossValSpec lambda_grid"),
+        ("data", {"mean": 2.0}, "SyntheticSpec mean"),
     ],
 )
 def test_spec_from_config_names_a_mistyped_list(section, body, where):
-    with pytest.raises(ValueError, match=f"config '{where}' must be a list of numbers"):
+    with pytest.raises(ValueError, match=f"{where} must be a nonempty list of"):
         spec_from_config({"methods": ["plain_lr"], section: body})
 
 
 def test_spec_from_config_names_a_mistyped_number():
-    for cfg, where in (
-        ({"noise": {"sigma": "10"}}, "noise.sigma"),
-        ({"cv": {"folds": "3"}}, "cv.folds"),
-        ({"cv": {"lambda_points": [5]}}, "cv.lambda_points"),
-        ({"data": {"train_per_class": None}}, "data.train_per_class"),
-        ({"data": {"test_per_class": True}}, "data.test_per_class"),
-        ({"data": {"path": "x.svm", "split": "0.5"}}, "data.split"),
-        ({"repetitions": "2"}, "repetitions"),
-        ({"seed": [1]}, "seed"),
-        ({"noise": {"levels": [0.1, "0.2"]}}, "noise.levels"),
-        ({"data": {"path": 99}}, "data.path"),
-        ({"time_fits": "no"}, "time_fits"),
-        ({"time_fits": 1}, "time_fits"),
+    for cfg, message in (
+        ({"noise": {"sigma": "10"}}, "noise sigma must be finite and > 0, got '10'"),
+        ({"cv": {"folds": "3"}}, "CrossValSpec folds must be an integer >= 2, got '3'"),
+        ({"cv": {"lambda_points": [5]}}, "config 'cv.lambda_points' must be an integer >= 1"),
+        ({"data": {"train_per_class": None}}, "SyntheticSpec train_per_class must be an integer"),
+        ({"data": {"test_per_class": True}}, "SyntheticSpec test_per_class must be an integer"),
+        ({"data": {"path": "x.svm", "split": "0.5"}},
+         "FileSource split must be a fraction strictly in (0, 1), got '0.5'"),
+        ({"repetitions": "2"}, "ExperimentSpec repetitions must be an integer >= 1, got '2'"),
+        ({"seed": [1]}, "ExperimentSpec seed must be an integer >= 0, got [1]"),
+        ({"noise": {"levels": [0.1, "0.2"]}},
+         "noise level (ratio) must lie in [0, 0.5], got '0.2'"),
+        ({"data": {"path": 99}}, "FileSource path must be a string, got 99"),
+        ({"time_fits": "no"}, "ExperimentSpec time_fits must be True or False, got 'no'"),
+        ({"time_fits": 1}, "ExperimentSpec time_fits must be True or False, got 1"),
     ):
-        with pytest.raises(ValueError, match=f"config '{where}' must be"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             spec_from_config({"methods": ["plain_lr"], **cfg})
 
 
 @pytest.mark.parametrize(
     "cfg,where,bound",
     [
-        ({"cv": {"folds": 2.7}}, "cv.folds", ""),
-        ({"cv": {"lambda_points": 2.5}}, "cv.lambda_points", " >= 1"),
-        ({"cv": {"lambda_points": -1}}, "cv.lambda_points", " >= 1"),
-        ({"cv": {"lambda_points": 0}}, "cv.lambda_points", " >= 1"),
-        ({"data": {"train_per_class": 10.5}}, "data.train_per_class", ""),
-        ({"data": {"test_per_class": 0.5}}, "data.test_per_class", ""),
-        ({"repetitions": 1.5}, "repetitions", ""),
-        ({"seed": -1}, "seed", " >= 0"),
-        ({"seed": 0.5}, "seed", " >= 0"),
+        ({"cv": {"folds": 2.7}}, "CrossValSpec folds", " >= 2"),
+        ({"cv": {"lambda_points": 2.5}}, "config 'cv.lambda_points'", " >= 1"),
+        ({"cv": {"lambda_points": -1}}, "config 'cv.lambda_points'", " >= 1"),
+        ({"cv": {"lambda_points": 0}}, "config 'cv.lambda_points'", " >= 1"),
+        ({"data": {"train_per_class": 10.5}}, "SyntheticSpec train_per_class", " >= 1"),
+        ({"data": {"test_per_class": 0.5}}, "SyntheticSpec test_per_class", " >= 1"),
+        ({"repetitions": 1.5}, "ExperimentSpec repetitions", " >= 1"),
+        ({"seed": -1}, "ExperimentSpec seed", " >= 0"),
+        ({"seed": 0.5}, "ExperimentSpec seed", " >= 0"),
     ],
 )
 def test_spec_from_config_requires_integer_counts(cfg, where, bound):
-    with pytest.raises(ValueError, match=f"config '{where}' must be an integer{bound}, got "):
+    with pytest.raises(ValueError, match=re.escape(f"{where} must be an integer{bound}, got ")):
         spec_from_config({"methods": ["plain_lr"], **cfg})
+
+
+M = ("plain_lr",)
+
+
+@pytest.mark.parametrize(
+    "cfg, build",
+    [
+        ({"methods": 5}, lambda: ExperimentSpec(methods=5)),
+        ({"methods": "plain_lr"}, lambda: ExperimentSpec(methods="plain_lr")),
+        ({"methods": []}, lambda: ExperimentSpec(methods=[])),
+        ({"methods": ["plain_lr", 1.6]}, lambda: ExperimentSpec(methods=["plain_lr", 1.6])),
+        ({"noise": {"kind": "gaussian"}}, lambda: ExperimentSpec(M, noise_kind="gaussian")),
+        ({"noise": {"levels": 0.1}}, lambda: ExperimentSpec(M, noise_levels=0.1)),
+        ({"noise": {"levels": [0.1, None]}}, lambda: ExperimentSpec(M, noise_levels=[0.1, None])),
+        ({"noise": {"sigma": "10"}}, lambda: ExperimentSpec(M, noise_sigma="10")),
+        ({"noise": {"kind": "random_flip", "sigma": [1]}},
+         lambda: ExperimentSpec(M, noise_kind="random_flip", noise_sigma=[1])),
+        ({"cv": {"folds": 2.7}}, lambda: CrossValSpec(folds=2.7)),
+        ({"cv": {"lambda_grid": 5}}, lambda: CrossValSpec(lambda_grid=5)),
+        ({"cv": {"lambda_grid": [None]}}, lambda: CrossValSpec(lambda_grid=[None])),
+        ({"cv": {"lambda_grid": [1e-3, 1e3]}}, lambda: CrossValSpec(lambda_grid=[1e-3, 1e3])),
+        ({"data": {"mean": 2.0}}, lambda: SyntheticSpec(mean=2.0)),
+        ({"data": {"train_per_class": 1e12}}, lambda: SyntheticSpec(train_per_class=1e12)),
+        ({"data": {"test_per_class": True}}, lambda: SyntheticSpec(test_per_class=True)),
+        ({"data": {"path": 99}}, lambda: FileSource(99)),
+        ({"data": {"path": "x.svm", "split": "0.5"}}, lambda: FileSource("x.svm", split="0.5")),
+        ({"repetitions": 1.5}, lambda: ExperimentSpec(M, repetitions=1.5)),
+        ({"seed": -1}, lambda: ExperimentSpec(M, seed=-1)),
+        ({"time_fits": "no"}, lambda: ExperimentSpec(M, time_fits="no")),
+    ],
+)
+def test_a_bad_config_value_reads_as_the_same_value_given_to_its_spec(cfg, build):
+    # one rule per setting: the config path adds no check and no wording of its own
+    with pytest.raises(ValueError) as direct:
+        build()
+    with pytest.raises(ValueError) as configured:
+        spec_from_config({"methods": ["plain_lr"], **cfg})
+    assert str(configured.value) == str(direct.value)
 
 
 def test_spec_from_config_accepts_integer_valued_floats():

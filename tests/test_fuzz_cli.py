@@ -1,14 +1,16 @@
-"""Fuzzed command-line boundary: whatever the files hold, main returns 0 or 2.
+"""Fuzzed command-line boundary: whatever the files and flags hold, main returns 0 or 2.
 
-Every input the CLI reads comes from a file, so each property writes the
-generated bytes to a file and runs `cli.main` in-process. A rejected input
-must come back as exit status 2 with its message on stderr; any exception
-escaping main fails the property. Most inputs are a valid file with at most
-one field or line spoiled, so both the accepting and the rejecting paths
-run. Strategies are bounded so that every input that does validate is tiny:
-feature indices of at most 5 in the LIBSVM text, at most 8 raw bytes, and
-sweep configs that pin one method, at most 4 training examples per class,
-2 folds, one lambda and one repetition.
+The file properties write the generated bytes to a file and the flag
+property generates `train` and `noise` flag values; each runs `cli.main`
+in-process. A rejected input must come back as exit status 2 with its
+message on stderr (argparse refuses a flag its type cannot read with its
+own SystemExit(2)); any exception escaping main fails the property. Most
+inputs are a valid file or flag set with at most one field, line or flag
+spoiled, so both the accepting and the rejecting paths run. Strategies are
+bounded so that every input that does validate is tiny: feature indices of
+at most 5 in the LIBSVM text, at most 8 raw bytes, and sweep configs that
+pin one method, at most 4 training examples per class, 2 folds, one lambda
+and one repetition.
 """
 
 import json
@@ -163,6 +165,29 @@ CONFIG = st.one_of(
 )
 
 
+# command-line flags: values each flag accepts, with one flag set to any float's repr (nan,
+# inf, -0.0, 1e+300, ...), an integer-like string or an out-of-range literal, or left out
+WILD_FLAG = st.one_of(st.floats().map(repr), st.integers(-10**20, 10**20).map(str),
+                      st.sampled_from(["1e999", "-1e999", "1.7976931348623157e308", "-1", "0"]))
+TRAIN_FLAGS = _spoil(
+    st.fixed_dictionaries({
+        "t1": st.sampled_from(["1", "0.6"]), "t2": st.sampled_from(["1", "1.6", "0.8"]),
+        "lambda": st.sampled_from(["1e-4", "0"]), "seed": st.sampled_from(["0", "3"]),
+    }),
+    {flag: WILD_FLAG for flag in ("t1", "t2", "lambda", "seed")},
+)
+NOISE_FLAGS = _spoil(
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(["outlier", "random_flip", "margin_flip"]),
+        "level": st.sampled_from(["0", "0.25", "0.5"]),
+        "sigma": st.sampled_from(["10", "0.5"]), "seed": st.sampled_from(["0", "3"]),
+    }),
+    {flag: WILD_FLAG for flag in ("level", "sigma", "seed")},
+    droppable=("sigma", "seed"),
+)
+ARGV = st.one_of(st.tuples(st.just("train"), TRAIN_FLAGS), st.tuples(st.just("noise"), NOISE_FLAGS))
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
@@ -209,4 +234,18 @@ def test_sweep_on_any_json_config_exits_0_or_2(workdir, config):
     path.write_text(json.dumps(config))
     code = main(["sweep", "--config", str(path)])
     event(f"exit {code}")
+    assert code in (0, 2)
+
+
+@settings(FUZZ, max_examples=100)
+@given(argv=ARGV)
+def test_train_and_noise_on_any_flag_values_exit_0_or_2(workdir, argv):
+    command, flags = argv
+    # --flag=value, so that argparse does not read a leading minus as an option
+    args = [command, "--data", str(workdir / "train.svm"), "--out", str(workdir / "flags.out")]
+    try:
+        code = main(args + [f"--{flag}={value}" for flag, value in flags.items()])
+    except SystemExit as exc:  # argparse refusing a value its type cannot read
+        code = exc.code
+    event(f"{command} exit {code}")
     assert code in (0, 2)
