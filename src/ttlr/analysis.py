@@ -1,9 +1,9 @@
 """Numerical loss-shape diagnostics: curvature, inflections, calibration checks.
 
 Works in the binary margin parameterization (activations [a/2, -a/2], label
-c = +1 unless stated). The first derivative of the loss is the training
-kernel's activation gradient along that embedding, the second a closed form;
-both are checked against finite differences in `verify`. Here they drive
+c = +1). The first derivative of the loss is the training kernel's
+activation gradient along that embedding, the second a closed form; both
+are checked against finite differences in `verify`. Here they drive
 regime classification and inflection search. One oracle verifies that
 minimizing the expected loss recovers the class posterior's argmax: the
 multiclass check, which polishes on the p-weighted training kernel itself.
@@ -33,8 +33,6 @@ __all__ = [
     "curvature_report",
     "bayes_binary_check",
     "bayes_multiclass_check",
-    "curvature_to_csv",
-    "bayes_checks_to_csv",
 ]
 
 INFLECTION_RESIDUAL_TOL = 1e-6
@@ -66,17 +64,14 @@ def _bounds(lo: float, hi: float) -> None:
         raise ValueError(f"need finite bounds lo < hi, got lo={lo!r}, hi={hi!r}")
 
 
-def margin_losses(a, temps, c: int = 1) -> np.ndarray:
-    """Binary loss values over an array of margins for label c in {+1, -1}.
+def margin_losses(a, temps) -> np.ndarray:
+    """Binary loss values of label +1 over an array of margins.
 
     The batched loss of the two-class embedding; at t1 = t2 = 1 this is
-    log(1 + exp(-c a)), and the c = -1 loss at a is the c = +1 loss at -a.
+    log(1 + exp(-a)). The -1 loss at a is the +1 loss at -a.
     """
-    if c not in (1, -1):
-        raise ValueError("binary label must be +1 or -1")
     a = _margins(a)
-    y = np.full(a.size, 1 if c == 1 else 2)
-    return batch_losses(a[:, None], y, _MARGIN_EMBEDDING, temps)
+    return batch_losses(a[:, None], np.ones(a.size, dtype=np.int64), _MARGIN_EMBEDDING, temps)
 
 
 def loss_first_derivative(a, temps):
@@ -200,11 +195,8 @@ def find_inflection(temps, lo: float, hi: float) -> list:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Loss derivative profile over a margin grid with detected inflections."""
+    """Loss shape over a margin grid: its regime and detected inflections."""
 
-    grid: np.ndarray
-    first_deriv: np.ndarray
-    second_deriv: np.ndarray
     inflection_points: list
     regime: str
 
@@ -232,20 +224,13 @@ def curvature_report(temps, lo: float = -10.0, hi: float = 10.0) -> CurvatureRep
     numeric_convex = bool(np.all(second_diff[triple] >= -CONVEXITY_TOL)) if triple.any() else True
     regime = "convex" if numeric_convex else "quasi_convex"
     inflections = [] if numeric_convex else _scan_inflections(temps, grid)
-    return CurvatureReport(
-        grid=grid,
-        first_deriv=loss_first_derivative(grid, temps),
-        second_deriv=loss_second_derivative(grid, temps),
-        inflection_points=inflections,
-        regime=regime,
-    )
+    return CurvatureReport(inflection_points=inflections, regime=regime)
 
 
 @dataclass(frozen=True)
 class BayesCheck:
     """Minimizer of the expected binary loss at class-1 probability eta."""
 
-    eta: float
     a_star_numeric: float
     a_star_closed_form: float
     sign_consistent: bool
@@ -272,7 +257,7 @@ def bayes_binary_check(eta: float, temps) -> BayesCheck:
         consistent = abs(a_num) <= 1e-6
     else:
         consistent = np.sign(a_num) == np.sign(eta - 0.5)
-    return BayesCheck(eta, a_num, float(a_closed), bool(consistent))
+    return BayesCheck(a_num, float(a_closed), bool(consistent))
 
 
 @dataclass(frozen=True)
@@ -361,23 +346,3 @@ def bayes_multiclass_check(p, temps) -> MulticlassBayesCheck:
         argmax_preserved=argmax_ok,
         target=target,
     )
-
-
-def curvature_to_csv(report: CurvatureReport) -> str:
-    """One row per grid point: margin, first and second loss derivatives."""
-    lines = ["margin,first_deriv,second_deriv"]
-    for a, d1, d2 in zip(report.grid, report.first_deriv, report.second_deriv):
-        # plain-float repr: shortest exact decimal, no numpy scalar wrapper
-        lines.append(f"{float(a)!r},{float(d1)!r},{float(d2)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def bayes_checks_to_csv(checks) -> str:
-    """One row per eta: numeric and closed-form minimizers plus the sign flag."""
-    lines = ["eta,a_star_numeric,a_star_closed_form,sign_consistent"]
-    for chk in checks:
-        lines.append(
-            f"{float(chk.eta)!r},{float(chk.a_star_numeric)!r},"
-            f"{float(chk.a_star_closed_form)!r},{int(chk.sign_consistent)}"
-        )
-    return "\n".join(lines) + "\n"

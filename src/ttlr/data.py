@@ -299,13 +299,17 @@ def serialize_libsvm(data: Dataset) -> str:
 
 def synth_gaussians(n_per_class: int, means, seed: int = 0) -> Dataset:
     """Unit-covariance Gaussian blob per class mean; deterministic given seed."""
+    n_per_class = validate_count(n_per_class, "n_per_class", 1)
+    seed = validate_count(seed, "seed", 0)
     means = np.asarray(means, dtype=float)
     if means.ndim != 2 or means.shape[0] < 2:
         raise ValueError("means must be a (C >= 2) x d array of class centers")
+    bad = np.argwhere(~np.isfinite(means))
+    if bad.size:
+        k, j = bad[0]
+        raise ValueError(f"class mean {k} has the non-finite entry {means[k, j]} at index {j}")
     if len(np.unique(means, axis=0)) != means.shape[0]:
         raise ValueError("class means must be distinct")
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
     c, d = means.shape
     rng = np.random.default_rng(seed)
     blocks = [means[k] + rng.standard_normal((n_per_class, d)) for k in range(c)]

@@ -27,6 +27,9 @@ __all__ = [
     "regularized_objective",
 ]
 
+# ln of the largest float: the most the log-space importance factor may reach.
+_LOG_MAX = float(np.log(np.finfo(float).max))
+
 
 @dataclass(frozen=True)
 class TemperaturePair:
@@ -58,11 +61,13 @@ def _losses_from_probs(pn: np.ndarray, t1: float) -> np.ndarray:
     """Vector of -log_t1(p) with the saturation conventions.
 
     p = 0 gives the finite cap 1/(1-t1) for t1 < 1 and +inf for t1 >= 1
-    (saturation; with L2 regularization the optimizer never accepts it).
+    (saturation; with L2 regularization the optimizer never accepts it), and
+    so does a p > 0 whose loss overflows.
     """
     out = np.empty_like(pn)
     pos = pn > 0.0
-    out[pos] = -log_t(pn[pos], t1)
+    with np.errstate(over="ignore"):
+        out[pos] = -log_t(pn[pos], t1)
     if not pos.all():
         out[~pos] = 1.0 / (1.0 - t1) if t1 < 1.0 else np.inf
     return out
@@ -73,13 +78,15 @@ def _importance(pn: np.ndarray, gap: float) -> np.ndarray:
 
     At p = 0 the factor is taken as 0: for gap > 0 that is the limit, and for
     t1 < 1 the loss is flat there (plateau), so the zero gradient is exact
-    either way. Elsewhere it is exactly 1 at zero gap.
+    either way. Elsewhere it is exactly 1 at zero gap. A factor beyond the
+    largest float (gap < 0 and p near the float floor) is capped there, so
+    the gradient stays finite.
     """
     if not gap:
         return (pn > 0.0).astype(float)
     out = np.zeros_like(pn)
     pos = pn > 0.0
-    out[pos] = np.exp(gap * np.log(pn[pos]))
+    out[pos] = np.exp(np.minimum(gap * np.log(pn[pos]), _LOG_MAX))
     return out
 
 

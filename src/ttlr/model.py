@@ -83,9 +83,9 @@ def fit(data, temps, lam: float, config: FitConfig | None = None, init=None) -> 
     init is a (dim, num_classes) start W, such as the solution at a nearby
     lambda; when it is given the seed is not used. Deterministic given
     (data, temps, lam, seed, init). A dataset whose features are identically
-    zero short-circuits to the zero solution with a warning recorded in the
-    trace, whose one point is that solution (every W is then equivalent up to
-    regularization, and the gradient at 0 is 0).
+    zero short-circuits to the zero solution, with termination
+    "degenerate_data" and that solution as the trace's one point (every W is
+    then equivalent up to regularization, and the gradient at 0 is 0).
     """
     temps = as_pair(temps)
     config = config or FitConfig()
@@ -114,9 +114,6 @@ def fit(data, temps, lam: float, config: FitConfig | None = None, init=None) -> 
         W = np.zeros((d, c))
         trace = OptimizationTrace(termination="degenerate_data", evaluations=1)
         trace.record(regularized_objective(data, W, temps, lam)[0], 0.0, 0.0)
-        trace.warnings.append(
-            "all feature values are zero; returning the prior-only zero solution"
-        )
         return TTLRModel(W, temps, lam, trace, data.label_table)
 
     if init is None:

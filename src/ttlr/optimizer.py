@@ -58,7 +58,6 @@ class OptimizationTrace:
     grad_sup_norms: list = field(default_factory=list)
     step_lengths: list = field(default_factory=list)
     termination: str = ""
-    warnings: list = field(default_factory=list)
     evaluations: int = 0
     backtracks: int = 0
 

@@ -48,6 +48,9 @@ __all__ = [
 # Absolute tolerance on the normalization residual |sum_c exp_t2(a_c - G) - 1|.
 RESIDUAL_TOL = 1e-13
 MAX_ITERATIONS = 200
+# Iterations after which a row also stops at the float floor (see _solve_rows);
+# a row that reaches the tolerance sooner never pays for that test.
+_FLOOR_AFTER = 8
 # Drop converged rows from the pass once at most this share still iterates.
 _COMPACT_BELOW = 0.5
 # Least rows x classes entries in one block of the parallel solve. Smaller
@@ -102,6 +105,13 @@ def log_partition_rows(A: np.ndarray, t2: float) -> PartitionRows:
     p^t2 = p/u, so f' = -sum p/u and f'' = t2 sum p/u^2 cost two divisions.
     The step is Halley's, g - (f/f')/(1 - f f''/(2 f'^2)), replaced by
     bisection of the bracket where it is not finite or leaves the bracket.
+    Off the t2 < 1 support, P and powered are exactly 0.
+
+    A row stops once |f| <= RESIDUAL_TOL, or, after _FLOOR_AFTER steps, at
+    the float floor: its step returns g, or no float lies strictly inside
+    its bracket. It then reports the residual it reached there.
+    MAX_ITERATIONS stays as a guard: a row still iterating after that many
+    steps raises RuntimeError.
 
     Inputs of at least 2 * BLOCK_ELEMENTS entries are cut into contiguous
     blocks of rows, solved on the worker pool and the calling thread at
@@ -145,6 +155,11 @@ def _solve_rows(A: np.ndarray, t2: float, top: float, out: PartitionRows) -> Non
     # huge gap overflows to -inf, values the rejected trial already handles.
     with np.errstate(over="ignore", invalid="ignore"):
         B = A - m[:, None]
+        if t2 < 1.0:
+            # The pass below zeroes off-support entries by multiplying them
+            # by 0, which turns a -inf gap into NaN; the most negative float
+            # is as far off the support.
+            np.maximum(B, -np.finfo(float).max, out=B)
 
     if abs(1.0 - t2) < T_SWITCH:
         # Closed form: shifted log-sum-exp; powered is P.
@@ -162,6 +177,8 @@ def _solve_rows(A: np.ndarray, t2: float, top: float, out: PartitionRows) -> Non
     # by a relative 1e-12 so a step landing on that root to within rounding
     # is not taken for one leaving the bracket.
     hi = np.full(n, top * (1.0 + 1e-12))
+    # Rows whose last step found no float that moves them closer to the root.
+    floored = np.zeros(n, dtype=bool)
     it = 0
     while True:
         # While every row is in the pass, p and p/u go straight into P and
@@ -175,8 +192,7 @@ def _solve_rows(A: np.ndarray, t2: float, top: float, out: PartitionRows) -> Non
             # at kx = 0 and zero them after, which keeps the slow special
             # cases log1p(-1) = -inf and exp(-inf) out of the pass.
             on = kx > -1.0
-            with np.errstate(invalid="ignore"):  # -inf * 0 from an overflowed trial
-                kx *= on
+            kx *= on
         u = kx + 1.0
         p = np.log1p(kx, out=kx)
         p /= k
@@ -189,7 +205,7 @@ def _solve_rows(A: np.ndarray, t2: float, top: float, out: PartitionRows) -> Non
             np.abs(f, out=res)
         else:
             P[sel], powered[sel], res[sel] = p, pw, np.abs(f)
-        active = np.abs(f) > RESIDUAL_TOL
+        active = (np.abs(f) > RESIDUAL_TOL) & ~floored
         if not active.any():
             G[sel] = g
             G += m
@@ -209,6 +225,11 @@ def _solve_rows(A: np.ndarray, t2: float, top: float, out: PartitionRows) -> Non
         step = g - newton / (1.0 - 0.5 * newton * fsecond / fprime)
         outside = ~np.isfinite(step) | (step < lo) | (step > hi)
         step = np.where(outside, 0.5 * (lo + hi), step)
+        if it > _FLOOR_AFTER:
+            # The float floor: the step returns g, or no float lies strictly
+            # inside the bracket, so any step only swaps g for a bracket end.
+            # The row takes this step and stops after the pass at it.
+            floored |= active & ((step == g) | (np.nextafter(lo, hi) >= hi))
         g = np.where(active, step, g)
         iters[sel[active]] = it
         # Converged rows stay in the pass, at their fixed g, until dropping
@@ -216,6 +237,7 @@ def _solve_rows(A: np.ndarray, t2: float, top: float, out: PartitionRows) -> Non
         if active.sum() <= _COMPACT_BELOW * sel.size:
             G[sel] = g
             sel, g, lo, hi = sel[active], g[active], lo[active], hi[active]
+            floored = floored[active]
             Bs = B.take(sel, axis=0)
 
 

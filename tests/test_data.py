@@ -181,8 +181,15 @@ def test_synth_bayes_rate_of_standard_blobs():
 
 
 def test_synth_validation():
-    with pytest.raises(ValueError):
-        synth_gaussians(0, [(1.0,), (-1.0,)])
+    for count in (0, -1, 2.5, True, "3", None):
+        with pytest.raises(ValueError, match="n_per_class must be an integer >= 1"):
+            synth_gaussians(count, [(1.0,), (-1.0,)])
+    for seed in (-1, 2.5, "0"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            synth_gaussians(5, [(1.0,), (-1.0,)], seed=seed)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"class mean 1 has the non-finite entry {bad} at index 0"):
+            synth_gaussians(5, [(1.0, 0.0), (bad, 0.0)])
     with pytest.raises(ValueError):
         synth_gaussians(5, [(1.0, 0.0)])
     with pytest.raises(ValueError):

@@ -16,17 +16,10 @@ and one repetition.
 import json
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ttlr.cli import main
-
-FUZZ = settings(
-    derandomize=True,
-    deadline=None,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-10, 10) | st.floats() | st.text(max_size=4),
@@ -197,7 +190,7 @@ def workdir(tmp_path_factory):
     return path
 
 
-@settings(FUZZ, max_examples=150)
+@settings(max_examples=150)
 @given(content=LIBSVM_BYTES, temps=st.sampled_from([("1", "1"), ("0.6", "1.6"), ("0.5", "0.8")]),
        lam=st.sampled_from(["1e-4", "0", "1e300", "nan", "-1", "-inf"]))
 def test_train_then_predict_exit_0_or_2(workdir, content, temps, lam):
@@ -214,7 +207,7 @@ def test_train_then_predict_exit_0_or_2(workdir, content, temps, lam):
         assert code in (0, 2)
 
 
-@settings(FUZZ, max_examples=150)
+@settings(max_examples=150)
 @given(text=MODEL_TEXT)
 def test_predict_on_any_model_text_exits_0_or_2(workdir, text):
     model = workdir / "any_model.json"
@@ -224,7 +217,7 @@ def test_predict_on_any_model_text_exits_0_or_2(workdir, text):
     assert code in (0, 2)
 
 
-@settings(FUZZ, max_examples=100)
+@settings(max_examples=100)
 @given(config=CONFIG)
 def test_sweep_on_any_json_config_exits_0_or_2(workdir, config):
     data = config.get("data") if isinstance(config, dict) else None
@@ -237,7 +230,7 @@ def test_sweep_on_any_json_config_exits_0_or_2(workdir, config):
     assert code in (0, 2)
 
 
-@settings(FUZZ, max_examples=100)
+@settings(max_examples=100)
 @given(argv=ARGV)
 def test_train_and_noise_on_any_flag_values_exit_0_or_2(workdir, argv):
     command, flags = argv

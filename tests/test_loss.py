@@ -43,11 +43,11 @@ def test_logistic_special_case_values():
     W = np.zeros((1, 2))
     assert one_row_loss([1.0], 1, W, (1.0, 1.0)) == pytest.approx(math.log(2.0), abs=1e-14)
     assert margin_losses(0.0, (1.0, 1.0))[0] == pytest.approx(math.log(2.0), abs=1e-14)
-    # log(1 + exp(-c a)) at a = 3
-    assert margin_losses(3.0, (1.0, 1.0), c=1)[0] == pytest.approx(
+    # log(1 + exp(-a)) at a = 3; the -1 loss at a = 3 is the +1 loss at -3
+    assert margin_losses(3.0, (1.0, 1.0))[0] == pytest.approx(
         math.log1p(math.exp(-3.0)), abs=1e-12
     )
-    assert margin_losses(3.0, (1.0, 1.0), c=-1)[0] == pytest.approx(
+    assert margin_losses(-3.0, (1.0, 1.0))[0] == pytest.approx(
         math.log1p(math.exp(3.0)), abs=1e-12
     )
 
@@ -75,30 +75,28 @@ def test_saturated_loss_is_infinite_when_hot():
 
 
 def test_binary_gradient_matches_finite_differences():
-    # d/da of both labels against loss differences; the c = -1 loss at a is
-    # the c = +1 loss at -a, so its derivative is -loss_first_derivative(-a)
+    # d/da against loss differences, at each margin and its mirror (the
+    # -1 loss at a is the +1 loss at -a)
     rng = np.random.default_rng(17)
     h = 1e-6
     for temps in ((1.0, 1.0), (0.6, 1.6), (1.2, 1.2)):
         for a in rng.normal(scale=1.5, size=3):
-            for c in (1, -1):
-                g = loss_first_derivative(a, temps) if c == 1 else -loss_first_derivative(-a, temps)
-                fd = (
-                    margin_losses(a + h, temps, c=c)[0] - margin_losses(a - h, temps, c=c)[0]
-                ) / (2.0 * h)
+            for x in (a, -a):
+                g = loss_first_derivative(x, temps)
+                fd = (margin_losses(x + h, temps)[0] - margin_losses(x - h, temps)[0]) / (2.0 * h)
                 assert g == pytest.approx(fd, abs=2e-6)
 
 
 def test_binary_form_agrees_with_two_column_embedding():
     # W = [w/2, -w/2] reproduces the margin parameterization: label +1 is
-    # class 1, label -1 is class 2
+    # class 1, and label -1 is class 2, whose loss is the +1 loss at -margin
     rng = np.random.default_rng(5)
     for temps in ((1.0, 1.0), (0.6, 1.6), (0.9, 0.5), (0.8, 0.6)):
         X = rng.normal(size=(13, 4))
         w = rng.normal(size=4)
         W = np.column_stack([0.5 * w, -0.5 * w])
         for c, klass in ((1, 1), (-1, 2)):
-            lb = margin_losses(X @ w, temps, c=c)
+            lb = margin_losses(c * (X @ w), temps)
             lm = batch_losses(X, np.full(13, klass), W, temps)
             assert np.allclose(lb, lm, atol=1e-13)
 
@@ -128,13 +126,6 @@ def test_binary_grad_saturation_mirror():
     assert margin_losses(a, (0.5, 0.6))[0] == 2.0
     for temps in ((1.0, 0.6), (0.5, 0.6)):
         assert np.array_equal(loss_first_derivative(a, temps), np.zeros(1))
-
-
-def test_binary_label_validation():
-    with pytest.raises(ValueError):
-        margin_losses(np.array([1.0]), (1.0, 1.0), c=0)
-    with pytest.raises(ValueError):
-        margin_losses(np.array([1.0]), (1.0, 1.0), c=2)
 
 
 def test_batch_losses_match_per_example_loop():
@@ -255,7 +246,7 @@ def test_objective_validates_inputs():
         regularized_objective(empty, np.zeros((1, 2)), (1.0, 1.0), 0.1)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     t1=st.floats(min_value=0.1, max_value=1.9),
     t2=st.floats(min_value=0.1, max_value=1.9),
@@ -268,7 +259,7 @@ def test_loss_nonnegative_and_capped(t1, t2, a):
         assert val <= 1.0 / (1.0 - t1) + 1e-9
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     t1=st.floats(min_value=0.2, max_value=1.8),
     t2=st.floats(min_value=0.2, max_value=1.8),

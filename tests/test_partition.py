@@ -266,6 +266,26 @@ def test_iteration_cap_raises(monkeypatch):
         log_partition_rows(a, 1.6)
 
 
+@pytest.mark.parametrize("t2", [0.01, 0.6, 0.999])
+def test_overflowed_gap_is_exactly_off_the_support(t2):
+    # the gap 2e308 overflows to -inf; the losing class still gets P = 0, not NaN
+    res = log_partition_rows(np.array([[1e308, -1e308]]), t2)
+    assert res.P.tolist() == [[1.0, 0.0]]
+    assert res.powered.tolist() == [[1.0, 0.0]]
+
+
+@pytest.mark.parametrize("t2", [0.01, 0.1])
+def test_near_tied_rows_stop_at_the_float_floor(t2):
+    # at 3000 near-tied classes the t2 < 1 iterates end up alternating between
+    # two adjacent floats, neither within RESIDUAL_TOL; such a row stops there
+    a = np.random.default_rng(0).normal(0.0, 1e-3, (20, 3000))
+    res = log_partition_rows(a, t2)
+    assert (res.iterations > partition._FLOOR_AFTER).any()
+    assert res.iterations.max() == partition._FLOOR_AFTER + 1
+    assert np.max(res.residual) <= 1.5e-13
+    assert np.isfinite(res.G).all()
+
+
 def test_no_floating_point_warnings():
     # classes off the t2 < 1 support, all-tied rows and +-1e4 activations:
     # none of them may make the fused pass raise a RuntimeWarning, in the

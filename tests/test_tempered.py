@@ -156,7 +156,7 @@ def test_validate_count_bounds_are_inclusive():
     assert validate_count(10**30, "n") == 10**30
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     x=st.floats(min_value=1e-6, max_value=1e3),
     t=st.floats(min_value=0.05, max_value=1.95),
@@ -165,7 +165,7 @@ def test_exp_t_inverts_log_t(x, t):
     assert exp_t(log_t(x, t), t) == pytest.approx(x, rel=1e-9)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(t=st.floats(min_value=0.05, max_value=1.95))
 def test_log_t_is_strictly_increasing(t):
     x = np.array([1e-4, 0.1, 0.9, 1.0, 1.1, 10.0, 1e4])
@@ -211,7 +211,7 @@ def test_entropy_of_point_mass_is_zero():
         assert tsallis_entropy(p, t) == 0.0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     t=st.floats(min_value=0.1, max_value=1.9),
     raw=st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=6),
@@ -252,7 +252,7 @@ def test_divergence_infinite_when_support_lost_and_hot():
     assert np.isfinite(val)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     t=st.floats(min_value=0.1, max_value=1.9),
     raw_p=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=3, max_size=3),
