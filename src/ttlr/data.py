@@ -324,6 +324,7 @@ def inject_outlier_noise(data: Dataset, sigma: float, ratio: float, seed: int) -
     Rows are chosen uniformly without replacement; labels are untouched. The
     perturbed rows densify (noise lands on zero coordinates too).
     """
+    seed = validate_count(seed, "inject_outlier_noise seed", 0)
     _check_noise("outlier", ratio, sigma)
     k = int(np.floor(ratio * data.n))
     if k == 0:
@@ -344,6 +345,7 @@ def inject_outlier_noise(data: Dataset, sigma: float, ratio: float, seed: int) -
 
 def inject_random_flip(data: Dataset, prob: float, seed: int) -> Dataset:
     """Flip each binary label independently with the given probability."""
+    seed = validate_count(seed, "inject_random_flip seed", 0)
     if data.num_classes != 2:
         raise ValueError("random label flips are defined for 2 classes only")
     _check_noise("random_flip", prob)
@@ -366,6 +368,7 @@ def inject_margin_flip(data: Dataset, ratio: float, seed: int) -> Dataset:
     """
     from .model import FitConfig, fit
 
+    seed = validate_count(seed, "inject_margin_flip seed", 0)
     if data.num_classes != 2:
         raise ValueError("margin flips are defined for 2 classes only")
     if not (0.0 < ratio <= 0.5):

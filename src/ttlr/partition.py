@@ -10,6 +10,12 @@ escort weights P**t2, and it returns those of its last pass alongside G
 tempered probabilities, escort distributions, and the first and second
 derivatives of G along the binary margin parameterization [a/2, -a/2].
 
+A two-class row's shifted root depends on one number, its gap d = max - min,
+so two-class rows start Halley at a tabulated root g(d) in place of g = 0:
+one cold solve over _TABLE_NODES gaps per t2, built on first use (not at
+import) in the calling thread and kept for the last _TABLES temperatures.
+Rows with more than two classes start at g = 0.
+
 No row's root depends on another row's. An input of at least
 2 * BLOCK_ELEMENTS rows x classes entries is cut into balanced, contiguous
 blocks of rows, each solved into its own slice of the outputs. The blocks
@@ -25,6 +31,7 @@ block, solved in the calling thread.
 from __future__ import annotations
 
 import contextvars
+import functools
 import os
 import queue
 from concurrent import futures
@@ -57,6 +64,10 @@ _COMPACT_BELOW = 0.5
 # blocks lose to per-pass overhead and GIL hand-offs, larger ones cost memory
 # per thread; 65536 was the fastest of 16384 to 262144 on a 50000 x 10 fit.
 BLOCK_ELEMENTS = 65536
+# Nodes of a two-class start table, and the tables kept at once (one per t2):
+# see _binary_table. 4096 nodes start every row within about 3e-6 of its root.
+_TABLE_NODES = 4096
+_TABLES = 8
 
 # (id of the process that built it, pool, worker threads): see _executor.
 _pool: tuple = (None, None, 0)
@@ -100,7 +111,9 @@ def log_partition_rows(A: np.ndarray, t2: float) -> PartitionRows:
 
     Rows are pre-shifted by their max so exp_t2 arguments stay in [-inf, 0];
     the root is bracketed in [max_c a_c, max_c a_c - log_t2(1/C)] where the
-    residual f(g) = sum_c exp_t2(b_c - g) - 1 changes sign. One pass gives
+    residual f(g) = sum_c exp_t2(b_c - g) - 1 changes sign. A two-class row
+    starts at the root tabulated for its gap (see _binary_table), any other
+    row at g = 0; the bracket and its safeguards are the same. One pass gives
     p = exp_t2(b - g) together with u = 1 + (1-t2)(b - g); on the support
     p^t2 = p/u, so f' = -sum p/u and f'' = t2 sum p/u^2 cost two divisions.
     The step is Halley's, g - (f/f')/(1 - f f''/(2 f'^2)), replaced by
@@ -123,30 +136,35 @@ def log_partition_rows(A: np.ndarray, t2: float) -> PartitionRows:
     A = np.asarray(A, dtype=float)
     n, c = A.shape
     closed = abs(1.0 - t2) < T_SWITCH
-    # The upper end of the bracket is found here, in the calling thread: the
-    # blocks may run on other threads and call no public function.
+    # The upper end of the bracket and the two-class start table are found
+    # here, in the calling thread: the blocks may run on other threads and
+    # call no public function.
     top = 0.0 if closed else -log_t(1.0 / c, t2)
+    table = _binary_table(t2, top) if c == 2 and not closed else None
     P = np.empty((n, c))
     out = PartitionRows(
         np.empty(n), np.empty(n), np.zeros(n, dtype=np.int64), P, P if closed else np.empty((n, c))
     )
     blocks = (n * c) // BLOCK_ELEMENTS
     if blocks < 2:
-        _solve_rows(A, t2, top, out)
+        _solve_rows(A, t2, top, out, table)
     else:
         edges = [n * i // blocks for i in range(blocks + 1)]
         _solve_blocks(
-            [(A[lo:hi], t2, top, PartitionRows(*(x[lo:hi] for x in out)))
+            [(A[lo:hi], t2, top, PartitionRows(*(x[lo:hi] for x in out)), table)
              for lo, hi in zip(edges, edges[1:])]
         )
     return out
 
 
-def _solve_rows(A: np.ndarray, t2: float, top: float, out: PartitionRows) -> None:
+def _solve_rows(
+    A: np.ndarray, t2: float, top: float, out: PartitionRows, table: tuple | None = None
+) -> None:
     """log_partition_rows on the rows of A, written into the rows of out.
 
-    top = -log_t2(1/C) is the upper end of the shifted bracket. Runs on any
-    thread: it calls numpy and private helpers only.
+    top = -log_t2(1/C) is the upper end of the shifted bracket. With a
+    two-class start table each row starts at its tabulated root, else at
+    g = 0. Runs on any thread: it calls numpy and private helpers only.
     """
     n = A.shape[0]
     G, res, iters, P, powered = out
@@ -160,6 +178,7 @@ def _solve_rows(A: np.ndarray, t2: float, top: float, out: PartitionRows) -> Non
             # by 0, which turns a -inf gap into NaN; the most negative float
             # is as far off the support.
             np.maximum(B, -np.finfo(float).max, out=B)
+        g = np.zeros(n) if table is None else _binary_start(B, t2, table)
 
     if abs(1.0 - t2) < T_SWITCH:
         # Closed form: shifted log-sum-exp; powered is P.
@@ -172,7 +191,7 @@ def _solve_rows(A: np.ndarray, t2: float, top: float, out: PartitionRows) -> Non
     k = 1.0 - t2
     # Rows of the pass, B[sel], with their iterate g and bracket [lo, hi].
     sel, Bs = np.arange(n), B
-    g, lo = np.zeros(n), np.zeros(n)
+    lo = np.zeros(n)
     # The upper end is the root itself when all C activations tie; widen it
     # by a relative 1e-12 so a step landing on that root to within rounding
     # is not taken for one leaving the bracket.
@@ -241,6 +260,61 @@ def _solve_rows(A: np.ndarray, t2: float, top: float, out: PartitionRows) -> Non
             Bs = B.take(sel, axis=0)
 
 
+@functools.lru_cache(maxsize=_TABLES)
+def _binary_table(t2: float, top: float) -> tuple:
+    """Start table for two-class rows at t2 (not within T_SWITCH of 1).
+
+    A shifted two-class row is [0, -d], so its root g(d) depends on the gap
+    d >= 0 alone; g(0) = top, and g falls to exactly 0 at the end of the
+    grid: the t2 < 1 support edge d = 1/(1 - t2), beyond which the losing
+    class has no mass, or d = inf for t2 > 1. The grid is uniform in
+    s = d/(1 + d) and puts its last node on that end, so the kink of g at
+    the support edge is a node. Its _TABLE_NODES - 1 finite nodes are one
+    cold _solve_rows call. Returns (scale, base, slope, edge): a row at
+    x = scale * s starts at base[i] + (x - i) * slope[i], i = floor(x), and
+    for t2 > 1 a row past the last finite node, at d > edge, starts at
+    exp_t2(-d), its root to within about g**2 (see _binary_start).
+    """
+    last = _TABLE_NODES - 1
+    s_end = 1.0 / (2.0 - t2) if t2 < 1.0 else 1.0
+    s = np.linspace(0.0, s_end, _TABLE_NODES)[:last]
+    d = s / (1.0 - s)
+    out = PartitionRows(np.empty(last), np.empty(last), np.zeros(last, dtype=np.int64),
+                        np.empty((last, 2)), np.empty((last, 2)))
+    _solve_rows(np.stack([np.zeros(last), -d], axis=1), t2, top, out)
+    base = np.append(out.G, 0.0)
+    # the entry past the end is 0 too, where clamped rows read it
+    slope = np.append(np.diff(base), 0.0)
+    return last / s_end, base, slope, d[-1]
+
+
+def _binary_start(B: np.ndarray, t2: float, table: tuple) -> np.ndarray:
+    """Tabulated start g for shifted two-class rows B (see _binary_table).
+
+    Index arithmetic on the uniform grid: np.interp costs about 15x more on
+    unsorted gaps. Total: a NaN or infinite gap, which a rejected trial step
+    can give, reads past the end of the grid and starts at 0, inside the
+    bracket; the caller holds errstate for inf / inf.
+    """
+    scale, base, slope, edge = table
+    d = np.abs(B[:, 0] + B[:, 1])  # one entry of a shifted row is 0
+    x = d / (1.0 + d)
+    x *= scale
+    np.fmin(x, base.size - 1, out=x)  # fmin takes the bound over NaN
+    i = x.astype(np.intp)
+    x -= i
+    g = slope.take(i)
+    g *= x
+    g += base.take(i)
+    if t2 > 1.0:
+        # exp_t2(-g) + exp_t2(-d - g) = 1 with exp_t2(-g) = 1 - g + O(g**2)
+        # gives g = exp_t2(-d) + O(g**2) far out in the heavy tail.
+        tail = d > edge
+        if tail.any():
+            g[tail] = np.power(1.0 + (t2 - 1.0) * d[tail], 1.0 / (1.0 - t2))
+    return g
+
+
 def _solve_blocks(blocks: list) -> None:
     """Run _solve_rows on every argument tuple in blocks, on all cores.
 
@@ -297,8 +371,12 @@ def row_sum(X: np.ndarray) -> np.ndarray:
     """Sum over each row of a 2-d array, for the batched paths.
 
     Unlike X.sum(axis=1) it is fast on short rows, and unlike X @ ones it
-    gives a row the same bits whichever batch the row comes in.
+    gives a row the same bits whichever batch the row comes in. Two columns
+    are added directly, which skips einsum's per-call setup and gives the
+    same values: only the sign of an exact zero sum can differ.
     """
+    if X.shape[1] == 2:
+        return X[:, 0] + X[:, 1]
     return np.einsum("ij->i", X)
 
 

@@ -308,6 +308,21 @@ def test_margin_flip_requires_binary_and_positive_ratio():
         inject_margin_flip(b, 0.6, seed=0)
 
 
+@pytest.mark.parametrize("inject, args", [
+    (inject_outlier_noise, (1.0, 0.5)),
+    (inject_random_flip, (0.5,)),
+    (inject_margin_flip, (0.5,)),
+])
+@pytest.mark.parametrize("seed, shown", [(2.5, "2.5"), (-1, "-1"), (True, "True")])
+def test_injectors_check_their_seed(inject, args, seed, shown):
+    data = synth_gaussians(10, [(2.0, 0.0), (-2.0, 0.0)], seed=0)
+    message = f"{inject.__name__} seed must be an integer >= 0, got {shown}"
+    with pytest.raises(ValueError, match=message):
+        inject(data, *args, seed)
+    # an integer-valued float is a seed, as NoiseSpec takes it
+    assert np.array_equal(inject(data, *args, 3.0).y, inject(data, *args, 3).y)
+
+
 def test_noise_spec_dispatch_and_validation():
     data = synth_gaussians(40, [(2.0, 0.0), (-2.0, 0.0)], seed=2)
     spec = NoiseSpec("outlier", 0.25, seed=9, sigma=10.0)

@@ -82,6 +82,13 @@ def _floor_bound(powered, t2):
 # a true-class p near the float floor: p**(t2 - t1) overflows once t1 - t2 > 709.8/744.4
 @example(case=(np.array([[0.0, -744.0, -1e308], [0.0, -740.0, 0.0]]), np.array([2, 2])),
          t2=1.0, t1=1.99)
+# two classes, whose rows start at the root tabulated for their gap: a gap
+# exactly at the t2 < 1 support edge 1/(1 - t2) = 2.5 ...
+@example(case=(np.array([[0.0, -2.5], [2.5, 0.0]]), np.array([1, 1])), t2=0.6, t1=0.8)
+# ... a gap of 1e10, past the last finite node of the grid ...
+@example(case=(np.array([[0.0, -1e10], [-1e10, 0.0]]), np.array([1, 1])), t2=1.6, t1=0.8)
+# ... and all-tied rows, at the upper end of the bracket
+@example(case=(np.array([[3.0, 3.0], [-1e-300, -1e-300]]), np.array([1, 2])), t2=1.3, t1=0.8)
 def test_kernels_are_total_on_finite_input(case, t2, t1):
     A, y = case
     n, c = A.shape

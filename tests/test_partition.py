@@ -25,7 +25,7 @@ from ttlr.partition import (
     tempered_probs,
     tempered_probs_rows,
 )
-from ttlr.tempered import exp_t, log_t
+from ttlr.tempered import T_SWITCH, exp_t, log_t
 
 
 def d1(a, t2):
@@ -304,10 +304,76 @@ def test_no_floating_point_warnings():
             activation_terms(a, y, (0.6, t2))
 
 
-def _blocked_input():
+TABLE_T2 = [0.01, 0.3, 0.6, 0.999, 1.0 - 2 * T_SWITCH, 1.0 + 2 * T_SWITCH, 1.3, 1.6, 1.9, 1.99]
+
+
+def _two_class_rows(t2):
+    """Shifted two-class rows [0, -d]: gaps on a dense grid over [0, 5], at
+    10**U(-12, 12), and at the t2 < 1 support edge and its float neighbours."""
+    rng = np.random.default_rng(5)
+    d = np.concatenate([np.linspace(0.0, 5.0, 2001), 10.0 ** rng.uniform(-12.0, 12.0, 2000)])
+    if t2 < 1.0:
+        edge = 1.0 / (1.0 - t2)
+        d = np.append(d, [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
+    return np.stack([np.zeros_like(d), -d], axis=1)
+
+
+def _cold_solve(a, t2):
+    """The solve with every row started at g = 0."""
+    n, c = a.shape
+    out = partition.PartitionRows(np.empty(n), np.empty(n), np.zeros(n, dtype=np.int64),
+                                  np.empty((n, c)), np.empty((n, c)))
+    partition._solve_rows(a, t2, -log_t(1.0 / c, t2), out)
+    return out
+
+
+@pytest.mark.parametrize("t2", TABLE_T2)
+def test_two_class_rows_start_at_their_tabulated_root(t2):
+    a = _two_class_rows(t2)
+    table = partition._binary_table(t2, -log_t(0.5, t2))
+    cold = _cold_solve(a, t2)
+    assert np.max(np.abs(partition._binary_start(a, t2, table) - cold.G)) <= 1e-5
+    warm = log_partition_rows(a, t2)
+    # 3 is the most any of these rows takes from g = 0
+    assert cold.iterations.max() <= 3 and warm.iterations.max() <= 3
+    assert warm.iterations.mean() < cold.iterations.mean()
+    assert np.max(warm.residual) <= RESIDUAL_TOL
+    np.testing.assert_allclose(warm.G, cold.G, rtol=0.0, atol=1e-12)
+
+
+def test_two_class_start_is_total(monkeypatch):
+    # a rejected trial step's activations can reach +-inf: the gap is then
+    # infinite or NaN, and the row must still start inside its bracket
+    starts = []
+    start = partition._binary_start
+
+    def record(*args):
+        starts.append(start(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(partition, "_binary_start", record)
+    a = np.array([[1e308, -1e308], [-np.inf, 0.0], [np.inf, 0.0], [np.inf, np.inf],
+                  [np.nan, 0.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t2 in (0.01, 0.6, 1.6, 1.99):
+            log_partition_rows(a, t2)
+            g = starts.pop()
+            assert ((0.0 <= g) & (g <= -log_t(0.5, t2) * (1.0 + 1e-12))).all()
+
+
+def test_start_tables_stay_bounded():
+    # as many distinct t2 as the kernel property test draws
+    for t2 in np.linspace(0.01, 1.99, 150):
+        log_partition_rows(np.array([[0.0, -1.0]]), float(t2))
+    info = partition._binary_table.cache_info()
+    assert info.currsize <= info.maxsize == partition._TABLES
+
+
+def _blocked_input(c=10):
     """3 blocks of rows at mixed scales, with all-tied rows and +-1e4 rows."""
     rng = np.random.default_rng(41)
-    n, c = 3 * partition.BLOCK_ELEMENTS // 10 + 7, 10
+    n = 3 * partition.BLOCK_ELEMENTS // c + 7
     a = rng.standard_normal((n, c)) * rng.choice([1e-3, 1.0, 30.0], size=(n, 1))
     a[::50] = 0.0
     a[7::50] = rng.choice([-1e4, 1e4], size=a[7::50].shape)
@@ -319,9 +385,11 @@ def _assert_same_bytes(got, want):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+# two columns: the rows start at the tabulated root
+@pytest.mark.parametrize("c", [10, 2])
 @pytest.mark.parametrize("t2", [0.2, 0.6, 1.0, 1.6, 1.99])
-def test_blocked_solve_is_byte_identical(monkeypatch, t2):
-    a = _blocked_input()
+def test_blocked_solve_is_byte_identical(monkeypatch, t2, c):
+    a = _blocked_input(c)
     blocked = log_partition_rows(a, t2)
     assert (blocked.P is blocked.powered) == (t2 == 1.0)
     with monkeypatch.context() as m:
@@ -335,10 +403,11 @@ def test_blocked_solve_is_byte_identical(monkeypatch, t2):
         _assert_same_bytes(blocked, log_partition_rows(a, t2))
 
 
-def test_blocked_solve_under_thread_switching(monkeypatch):
+@pytest.mark.parametrize("c", [4, 2])
+def test_blocked_solve_under_thread_switching(monkeypatch, c):
     # more workers than cores and a thread switch every microsecond: a block
     # solved twice or lost would change the bytes (lost rows stay unwritten)
-    a = _blocked_input()[:4000, :4]
+    a = _blocked_input()[:4000, :c]
     want = log_partition_rows(a, 1.6)
     monkeypatch.setattr(partition, "BLOCK_ELEMENTS", 64)
     interval = sys.getswitchinterval()

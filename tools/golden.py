@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Golden-output manifest: the fixed-seed outputs a change may move.
 
-    python3 tools/golden.py [--out tools/golden.json]   # record this tree's outputs
-    python3 tools/golden.py --diff OLD.json NEW.json    # report what moved
+    python3 tools/golden.py --out NEW.json            # record this tree's outputs
+    python3 tools/golden.py --diff OLD.json NEW.json  # report what moved
+
+Without --out or --diff the manifest goes to stdout: recording never
+overwrites the committed tools/golden.json unless it is named with --out.
 
 Artifacts: a `ttlr sweep` CSV, `ttlr train` model JSONs at three temperature
 pairs on a 3-class file with the matching `ttlr predict` output, the
@@ -165,14 +168,18 @@ def diff(old: dict, new: dict) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "tools" / "golden.json"))
+    parser.add_argument("--out", help="file to record to (default: stdout)")
     parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
     if args.diff:
         old, new = (json.loads(Path(p).read_text()) for p in args.diff)
         print("\n".join(diff(old, new)))
         return 0
-    Path(args.out).write_text(_dumps(record()))
+    manifest = _dumps(record())
+    if args.out:
+        Path(args.out).write_text(manifest)
+    else:
+        sys.stdout.write(manifest)
     return 0
 
 
