@@ -1,13 +1,15 @@
 """Numerical loss-shape diagnostics: curvature, inflections, calibration checks.
 
 Works in the binary margin parameterization (activations [a/2, -a/2], label
-c = +1). The first derivative of the loss is the training kernel's
-activation gradient along that embedding, the second a closed form; both
-are checked against finite differences in `verify`. Here they drive
-regime classification and inflection search. One oracle verifies that
-minimizing the expected loss recovers the class posterior's argmax: the
-multiclass check, which polishes on the p-weighted training kernel itself.
-The binary check is its two-class case, read as a margin.
+c = +1): every margin helper builds its activations from that one embedding
+and checks its margins with one rule. The first derivative of the loss is
+the training kernel's activation gradient along the embedding, the second a
+closed form in the derivatives of G along it (`margin_derivatives`); both
+are checked against finite differences in `verify`. Here they drive regime
+classification and inflection search. One oracle verifies that minimizing
+the expected loss recovers the class posterior's argmax: the multiclass
+check, which polishes on the p-weighted training kernel itself. The binary
+check is its two-class case, read as a margin.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ import numpy as np
 
 from .loss import TemperaturePair, activation_terms, as_pair, batch_losses
 from .optimizer import OptimizerConfig, lbfgs_minimize
-from .partition import margin_derivatives, tempered_probs_rows
-from .tempered import check_distribution, log_t
+from .partition import log_partition_rows, row_sum, tempered_probs_rows
+from .tempered import check, check_distribution, check_vector, is_number, log_t
 
 __all__ = [
     "CurvatureReport",
     "BayesCheck",
     "MulticlassBayesCheck",
+    "margin_derivatives",
     "margin_losses",
     "loss_first_derivative",
     "loss_second_derivative",
@@ -51,17 +54,33 @@ _MARGIN_EMBEDDING = np.array([[0.5, -0.5]])
 
 
 def _margins(a) -> np.ndarray:
-    """Margins as an at-least-1-d float array; a non-finite margin is refused."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    bad = np.flatnonzero(~np.isfinite(a))
-    if bad.size:
-        raise ValueError(f"margin {float(a.flat[bad[0]])!r} at index {bad[0]} is not finite")
-    return a
+    """A margin or a nonempty 1-d array of them, as a finite float vector, else an error."""
+    return check_vector(np.atleast_1d(a), "margin")
 
 
-def _bounds(lo: float, hi: float) -> None:
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError(f"need finite bounds lo < hi, got lo={lo!r}, hi={hi!r}")
+def _bounds(lo, hi) -> None:
+    check(is_number(lo) and -np.inf < lo < np.inf, "lo", "be finite", lo)
+    check(is_number(hi) and lo < hi < np.inf, "hi", "be finite and > lo", hi)
+
+
+def margin_derivatives(a, t2: float):
+    """Class +1 probability, dG/da and d2G/da2 along [a/2, -a/2].
+
+    Takes a margin or an array of them. dG/da is the escort mean of c/2,
+    inside [-1/2, 1/2], and equals tanh(a/2)/2 at t2 = 1. d2G/da2 is the
+    t2-weighted escort variance of c/2, >= 0; classes with exactly zero
+    probability contribute nothing, so inside the t2 < 1 plateau (all mass on
+    one class) it is exactly 0.
+    """
+    _, _, _, P, powered = log_partition_rows(_margins(a)[:, None] @ _MARGIN_EMBEDDING, t2)
+    S = row_sum(powered)
+    d1 = 0.5 * (powered[:, 0] - powered[:, 1]) / S
+    # P**(2 t2 - 1) = P**t2 * P**(t2 - 1), exactly P at t2 = 1
+    weights = np.zeros_like(P)
+    pos = P > 0.0
+    weights[pos] = powered[pos] * (powered[pos] / P[pos])
+    d2 = t2 * row_sum(weights * (_MARGIN_EMBEDDING - d1[:, None]) ** 2) / S
+    return P[:, 0], d1, d2
 
 
 def margin_losses(a, temps) -> np.ndarray:
@@ -244,9 +263,8 @@ def bayes_binary_check(eta: float, temps) -> BayesCheck:
     eta_c^(1/t1) and Z = z_+ + z_-, a* = log_t2(z_+/Z) - log_t2(z_-/Z).
     """
     temps = as_pair(temps)
+    check(is_number(eta) and 0.0 < eta < 1.0, "eta", "lie strictly in (0, 1)", eta)
     eta = float(eta)
-    if not (0.0 < eta < 1.0):
-        raise ValueError("eta must lie strictly in (0, 1)")
     a_star = bayes_multiclass_check([eta, 1.0 - eta], temps).a_star
     a_num = float(a_star[0] - a_star[1])
     z_pos = eta ** (1.0 / temps.t1)
@@ -286,12 +304,9 @@ def bayes_multiclass_check(p, temps) -> MulticlassBayesCheck:
     in sup norm and the argmax of a* equals the argmax of p.
     """
     temps = as_pair(temps)
-    p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p) & (p > 0.0)):
-        raise ValueError(f"p must be finite and strictly positive, got {p.tolist()}")
-    c = check_distribution(p, "p").size
-    if c < 2:
-        raise ValueError("p must have at least 2 classes")
+    p = check_distribution(p, "p", 2)
+    check(p.min() > 0.0, "p", "be strictly positive", p.tolist())
+    c = p.size
 
     def chart_objective(v):
         # expected loss as a function of the induced probabilities; the

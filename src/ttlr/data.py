@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .tempered import is_number, plain_number, validate_count
+from .tempered import check, is_number, plain_number, validate_count
 
 __all__ = [
     "Dataset",
@@ -150,10 +150,9 @@ def _check_noise(kind: str, level: float, sigma: float | None = None) -> None:
     """Reject a level, or an outlier sigma, outside its kind's range; NaN and non-numbers fail."""
     what, most = ("flip probability", 1) if kind == "random_flip" else ("ratio", 0.5)
     if not (is_number(level) and 0.0 <= level <= most):
-        shown = plain_number(level)
-        raise ValueError(f"noise level ({what}) must lie in [0, {most}], got {shown!r}")
-    if kind == "outlier" and not (is_number(sigma) and 0.0 < sigma < np.inf):
-        raise ValueError(f"noise sigma must be finite and > 0, got {plain_number(sigma)!r}")
+        check(False, f"noise level ({what})", f"lie in [0, {most}]", level)
+    if kind == "outlier":
+        check(is_number(sigma) and 0.0 < sigma < np.inf, "noise sigma", "be finite and > 0", sigma)
 
 
 def format_number(v: float) -> str:
@@ -371,8 +370,7 @@ def inject_margin_flip(data: Dataset, ratio: float, seed: int) -> Dataset:
     seed = validate_count(seed, "inject_margin_flip seed", 0)
     if data.num_classes != 2:
         raise ValueError("margin flips are defined for 2 classes only")
-    if not (0.0 < ratio <= 0.5):
-        raise ValueError("ratio must lie in (0, 0.5]")
+    _check_noise("margin_flip", ratio)
     k = int(np.floor(ratio * data.n))
     if k == 0:
         return data

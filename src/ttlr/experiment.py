@@ -24,7 +24,7 @@ import numpy as np
 from .data import Dataset, NoiseSpec, read_libsvm, synth_gaussians
 from .loss import TemperaturePair
 from .model import FitConfig, TTLRModel, fit, predict
-from .tempered import is_number, plain_number, validate_count
+from .tempered import check, is_number, plain_number, validate_count
 
 __all__ = [
     "MethodSpec",
@@ -93,19 +93,13 @@ def parse_method(name: str) -> MethodSpec:
     raise ValueError(f"cannot parse method {plain_number(name)!r}: {_METHOD_GRAMMAR}")
 
 
-def _check(ok: bool, name: str, rule: str, value) -> None:
-    """The one form of a spec field's error: the field, its rule and the value given."""
-    if not ok:
-        raise ValueError(f"{name} must be {rule}, got {plain_number(value)!r}")
-
-
 def _list_of(value, name: str, what: str, ok=None) -> tuple:
     """value as a tuple if it is a nonempty list, tuple or array whose entries pass ok."""
-    _check(
+    check(
         isinstance(value, (list, tuple, np.ndarray))
         and len(value) > 0
         and (ok is None or all(map(ok, value))),
-        name, f"a nonempty list of {what}", value,
+        name, f"be a nonempty list of {what}", value,
     )
     return tuple(value)
 
@@ -137,9 +131,10 @@ class FileSource:
     split: float = 0.5
 
     def __post_init__(self):
-        _check(isinstance(self.path, (str, os.PathLike)), "FileSource path", "a string", self.path)
-        _check(is_number(self.split) and 0.0 < self.split < 1.0,
-               "FileSource split", "a fraction strictly in (0, 1)", self.split)
+        check(isinstance(self.path, (str, os.PathLike)), "FileSource path", "be a string",
+              self.path)
+        check(is_number(self.split) and 0.0 < self.split < 1.0,
+              "FileSource split", "be a fraction strictly in (0, 1)", self.split)
         object.__setattr__(self, "split", float(self.split))
 
 
@@ -178,18 +173,18 @@ class ExperimentSpec:
             # the kind, level and sigma rules are NoiseSpec's; fail before the run starts
             NoiseSpec(self.noise_kind, level, seed=0, sigma=self.noise_sigma)
         # NoiseSpec checks sigma for the outlier kind only; the flip kinds ignore it
-        _check(is_number(self.noise_sigma), "ExperimentSpec noise_sigma", "a number",
-               self.noise_sigma)
+        check(is_number(self.noise_sigma), "ExperimentSpec noise_sigma", "be a number",
+              self.noise_sigma)
         object.__setattr__(self, "noise_levels", tuple(float(v) for v in levels))
         object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
-        _check(isinstance(self.cv, CrossValSpec), "ExperimentSpec cv", "a CrossValSpec", self.cv)
+        check(isinstance(self.cv, CrossValSpec), "ExperimentSpec cv", "be a CrossValSpec", self.cv)
         reps = validate_count(self.repetitions, "ExperimentSpec repetitions", 1)
         object.__setattr__(self, "repetitions", reps)
         object.__setattr__(self, "seed", validate_count(self.seed, "ExperimentSpec seed", 0))
-        _check(isinstance(self.data, (SyntheticSpec, FileSource)),
-               "ExperimentSpec data", "a SyntheticSpec or FileSource", self.data)
-        _check(isinstance(self.time_fits, bool), "ExperimentSpec time_fits", "True or False",
-               self.time_fits)
+        check(isinstance(self.data, (SyntheticSpec, FileSource)),
+              "ExperimentSpec data", "be a SyntheticSpec or FileSource", self.data)
+        check(isinstance(self.time_fits, bool), "ExperimentSpec time_fits", "be True or False",
+              self.time_fits)
 
 
 @dataclass(frozen=True)
@@ -205,8 +200,7 @@ class ResultRow:
     seconds: float
 
     def __post_init__(self):
-        if not (0.0 <= self.accuracy <= 1.0):
-            raise ValueError("accuracy must lie in [0, 1]")
+        check(0.0 <= self.accuracy <= 1.0, "accuracy", "lie in [0, 1]", self.accuracy)
 
 
 _RENAMED = {"lam": "lambda"}  # ResultRow fields written under another column name
@@ -337,17 +331,12 @@ def rows_to_json(rows) -> str:
 
 def summarize(rows) -> str:
     """Mean and sample standard deviation of accuracy per sweep cell."""
-    order = []
-    groups = {}
+    groups = {}  # in first-seen order
     for r in rows:
-        key = (r.method, r.noise_kind, r.noise_level)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r.accuracy)
+        groups.setdefault((r.method, r.noise_kind, r.noise_level), []).append(r.accuracy)
     lines = [f"{'method':<18} {'noise_kind':<12} {'level':>6}  accuracy"]
-    for key in order:
-        accs = np.asarray(groups[key])
+    for key, accs in groups.items():
+        accs = np.asarray(accs)
         std = accs.std(ddof=1) if accs.size > 1 else 0.0
         lines.append(
             f"{key[0]:<18} {key[1]:<12} {key[2]:>6g}  "
@@ -359,8 +348,7 @@ def summarize(rows) -> str:
 def _section(config: dict, key: str, keys) -> dict:
     """A copy of the JSON object config[key] (default {}) holding only `keys`, else an error."""
     section = config.get(key, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"config '{key}' must be a JSON object, got {section!r}")
+    check(isinstance(section, dict), f"config '{key}'", "be a JSON object", section)
     unknown = set(section) - set(keys)
     if unknown:
         raise ValueError(f"unknown {key} keys: {sorted(unknown)}")

@@ -17,7 +17,7 @@ from .data import read_json
 from .loss import TemperaturePair, as_pair, regularized_objective
 from .optimizer import OptimizationTrace, OptimizerConfig, lbfgs_minimize
 from .partition import tempered_probs_rows
-from .tempered import validate_count, validate_lambda
+from .tempered import check, validate_count, validate_lambda
 
 __all__ = [
     "TTLRModel",
@@ -48,10 +48,8 @@ class FitConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", validate_count(self.seed, "FitConfig seed", 0))
-        if not isinstance(self.optimizer, OptimizerConfig):
-            raise ValueError(
-                f"FitConfig optimizer must be an OptimizerConfig, got {self.optimizer!r}"
-            )
+        check(isinstance(self.optimizer, OptimizerConfig), "FitConfig optimizer",
+              "be an OptimizerConfig", self.optimizer)
 
 
 @dataclass(frozen=True)

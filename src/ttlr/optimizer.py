@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tempered import validate_count
+from .tempered import check, is_number, validate_count
 
 __all__ = ["OptimizerConfig", "OptimizationTrace", "lbfgs_minimize"]
 
@@ -40,8 +40,9 @@ class OptimizerConfig:
     def __post_init__(self):
         iters = validate_count(self.max_iters, "OptimizerConfig max_iters", 0)
         object.__setattr__(self, "max_iters", iters)
-        if not self.grad_tol > 0.0:
-            raise ValueError(f"OptimizerConfig grad_tol must be > 0, got {self.grad_tol!r}")
+        check(is_number(self.grad_tol) and 0.0 < self.grad_tol < np.inf,
+              "OptimizerConfig grad_tol", "be finite and > 0", self.grad_tol)
+        object.__setattr__(self, "grad_tol", float(self.grad_tol))
 
 
 @dataclass

@@ -7,14 +7,14 @@ contains the root. `log_partition_rows` is the one solver: each iteration is
 one pass over the activations that also gives the probabilities P and the
 escort weights P**t2, and it returns those of its last pass alongside G
 (`PartitionRows`), so the loss gradient needs no second pass. Also provided:
-tempered probabilities, escort distributions, and the first and second
-derivatives of G along the binary margin parameterization [a/2, -a/2].
+tempered probabilities and escort distributions.
 
 A two-class row's shifted root depends on one number, its gap d = max - min,
 so two-class rows start Halley at a tabulated root g(d) in place of g = 0:
-one cold solve over _TABLE_NODES gaps per t2, built on first use (not at
-import) in the calling thread and kept for the last _TABLES temperatures.
-Rows with more than two classes start at g = 0.
+one cold solve over _TABLE_NODES gaps per t2. It is built on first use (not
+at import) in the calling thread, together with the bracket's upper end,
+and kept for the last _BRACKETS (C, t2) pairs. Rows with more than two
+classes start at g = 0.
 
 No row's root depends on another row's. An input of at least
 2 * BLOCK_ELEMENTS rows x classes entries is cut into balanced, contiguous
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tempered import T_SWITCH, log_t, validate_temperature
+from .tempered import T_SWITCH, check_vector, log_t, validate_temperature
 
 __all__ = [
     "PartitionResult",
@@ -49,7 +49,6 @@ __all__ = [
     "tempered_probs",
     "tempered_probs_rows",
     "escort",
-    "margin_derivatives",
 ]
 
 # Absolute tolerance on the normalization residual |sum_c exp_t2(a_c - G) - 1|.
@@ -64,10 +63,11 @@ _COMPACT_BELOW = 0.5
 # blocks lose to per-pass overhead and GIL hand-offs, larger ones cost memory
 # per thread; 65536 was the fastest of 16384 to 262144 on a 50000 x 10 fit.
 BLOCK_ELEMENTS = 65536
-# Nodes of a two-class start table, and the tables kept at once (one per t2):
-# see _binary_table. 4096 nodes start every row within about 3e-6 of its root.
+# Nodes of a two-class start table (see _binary_table): 4096 nodes start
+# every row within about 3e-6 of its root. The (C, t2) pairs whose bracket
+# end, and at C = 2 start table, are kept at once: see _bracket.
 _TABLE_NODES = 4096
-_TABLES = 8
+_BRACKETS = 32
 
 # (id of the process that built it, pool, worker threads): see _executor.
 _pool: tuple = (None, None, 0)
@@ -79,15 +79,6 @@ class PartitionResult(NamedTuple):
     G: float
     residual: float
     iterations: int
-
-
-def _validate_activations(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size < 2:
-        raise ValueError("activation vector must be 1-d with at least 2 classes")
-    if not np.isfinite(a).all():
-        raise ValueError("activation vector must be finite")
-    return a
 
 
 class PartitionRows(NamedTuple):
@@ -136,11 +127,9 @@ def log_partition_rows(A: np.ndarray, t2: float) -> PartitionRows:
     A = np.asarray(A, dtype=float)
     n, c = A.shape
     closed = abs(1.0 - t2) < T_SWITCH
-    # The upper end of the bracket and the two-class start table are found
-    # here, in the calling thread: the blocks may run on other threads and
-    # call no public function.
-    top = 0.0 if closed else -log_t(1.0 / c, t2)
-    table = _binary_table(t2, top) if c == 2 and not closed else None
+    # Found here, in the calling thread: the blocks may run on other threads
+    # and call no public function.
+    top, table = (0.0, None) if closed else _bracket(c, t2)
     P = np.empty((n, c))
     out = PartitionRows(
         np.empty(n), np.empty(n), np.zeros(n, dtype=np.int64), P, P if closed else np.empty((n, c))
@@ -260,7 +249,17 @@ def _solve_rows(
             Bs = B.take(sel, axis=0)
 
 
-@functools.lru_cache(maxsize=_TABLES)
+@functools.lru_cache(maxsize=_BRACKETS)
+def _bracket(c: int, t2: float) -> tuple:
+    """(top, table) for C classes at t2, not within T_SWITCH of 1.
+
+    top = -log_t2(1/C) is the upper end of the shifted bracket; table is
+    the two-class start table at C = 2 (see _binary_table), else None.
+    """
+    top = -log_t(1.0 / c, t2)
+    return top, _binary_table(t2, top) if c == 2 else None
+
+
 def _binary_table(t2: float, top: float) -> tuple:
     """Start table for two-class rows at t2 (not within T_SWITCH of 1).
 
@@ -390,7 +389,7 @@ def _row_max(A: np.ndarray) -> np.ndarray:
 
 def log_partition(a, t2: float) -> PartitionResult:
     """Normalizer G with sum_c exp_t2(a_c - G) = 1 for one activation vector."""
-    a = _validate_activations(a)
+    a = check_vector(a, "activations", 2)
     g, res, iters, _, _ = log_partition_rows(a[None, :], t2)
     return PartitionResult(float(g[0]), float(res[0]), int(iters[0]))
 
@@ -406,7 +405,7 @@ def tempered_probs(a, t2: float) -> np.ndarray:
     Entries are exact zeros where the t2 < 1 clamp is active; strictly
     positive everywhere for t2 > 1 (heavy tail). Equals softmax(a) at t2 = 1.
     """
-    a = _validate_activations(a)
+    a = check_vector(a, "activations", 2)
     return tempered_probs_rows(a[None, :], t2)[0]
 
 
@@ -417,11 +416,7 @@ def escort(p, t2: float) -> np.ndarray:
     G_t2 with respect to the activation vector, evaluated at p = probs(a).
     """
     validate_temperature(t2)
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("p must be a nonempty 1-d vector")
-    if np.any(p < 0.0) or not np.isfinite(p).all():
-        raise ValueError("p must be entrywise finite and >= 0")
+    p = check_vector(p, "p", low=0.0)
     with np.errstate(invalid="ignore"):
         q = escort_rows(p[None, :], t2)[0]
     if not np.isfinite(q).all():
@@ -433,26 +428,3 @@ def escort_rows(P: np.ndarray, t2: float) -> np.ndarray:
     """Row-wise escort of probability rows P, without validation."""
     powered = np.power(P, t2)
     return powered / row_sum(powered)[:, None]
-
-
-def margin_derivatives(a, t2: float):
-    """Class +1 probability, dG/da and d2G/da2 along [a/2, -a/2].
-
-    Takes an array of margins. dG/da is the escort mean of c/2, inside
-    [-1/2, 1/2], and equals tanh(a/2)/2 at t2 = 1. d2G/da2 is the
-    t2-weighted escort variance of c/2, >= 0; classes with exactly zero
-    probability contribute nothing, so inside the t2 < 1 plateau (all mass on
-    one class) it is exactly 0.
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    A = np.stack([0.5 * a, -0.5 * a], axis=1)
-    _, _, _, P, powered = log_partition_rows(A, t2)
-    S = row_sum(powered)
-    d1 = 0.5 * (powered[:, 0] - powered[:, 1]) / S
-    # P**(2 t2 - 1) = P**t2 * P**(t2 - 1), exactly P at t2 = 1
-    weights = np.zeros_like(P)
-    pos = P > 0.0
-    weights[pos] = powered[pos] * (powered[pos] / P[pos])
-    c_half = np.array([0.5, -0.5])
-    d2 = t2 * row_sum(weights * (c_half[None, :] - d1[:, None]) ** 2) / S
-    return P[:, 0], d1, d2

@@ -33,12 +33,25 @@ T_SWITCH = 1e-6
 NORMALIZATION_TOL = 1e-8
 
 
-def validate_temperature(t: float) -> float:
-    """Check 0 < t < 2 once, at construction sites; kernels assume it holds."""
-    t = float(t)
-    if not np.isfinite(t) or not (TEMPERATURE_RANGE[0] < t < TEMPERATURE_RANGE[1]):
-        raise ValueError(f"temperature must lie strictly in (0, 2), got {t!r}")
-    return t
+def check(ok: bool, name: str, rule: str, value) -> None:
+    """Unless ok, the one form of a bad argument's error: "{name} must {rule}, got {value!r}".
+
+    The rule carries its verb ("be an integer >= 0", "lie in [0, 0.5]"). Hot
+    callers pass a constant rule, or build one only on failure.
+    """
+    if not ok:
+        raise ValueError(f"{name} must {rule}, got {plain_number(value)!r}")
+
+
+def validate_temperature(t) -> float:
+    """t as a float if it is a real number strictly inside TEMPERATURE_RANGE, else an error.
+
+    Checked at construction sites; the kernels assume it holds. A string, a
+    bool or None is refused, not converted.
+    """
+    lo, hi = TEMPERATURE_RANGE
+    check(is_number(t) and lo < t < hi, "temperature", "lie strictly in (0, 2)", t)
+    return float(t)
 
 
 def validate_count(value, name: str, least: int | None = None, most: int | None = None) -> int:
@@ -51,18 +64,15 @@ def validate_count(value, name: str, least: int | None = None, most: int | None 
         isinstance(value, float) and value.is_integer()
     )
     if isinstance(value, bool) or not whole or (least is not None and value < least):
-        rule = "an integer" + ("" if least is None else f" >= {least}")
-    elif most is not None and value > most:
-        rule = f"at most {most}"
-    else:
-        return int(value)
-    raise ValueError(f"{name} must be {rule}, got {plain_number(value)!r}")
+        check(False, name, "be an integer" + ("" if least is None else f" >= {least}"), value)
+    if most is not None and value > most:
+        check(False, name, f"be at most {most}", value)
+    return int(value)
 
 
 def validate_lambda(lam) -> float:
     """The ridge weight as a float if it is a finite real number >= 0, else an error."""
-    if not (is_number(lam) and 0.0 <= lam < np.inf):
-        raise ValueError(f"lambda must be finite and >= 0, got {plain_number(lam)!r}")
+    check(is_number(lam) and 0.0 <= lam < np.inf, "lambda", "be finite and >= 0", lam)
     return float(lam)
 
 
@@ -74,6 +84,25 @@ def is_number(value) -> bool:
 def plain_number(value):
     """A numpy scalar as the Python number it holds, for messages: -1, not np.int64(-1)."""
     return value.item() if isinstance(value, np.generic) else value
+
+
+def check_vector(v, name: str, least: int = 1, low: float = -np.inf) -> np.ndarray:
+    """v as a 1-d float vector of at least `least` entries, each finite and >= low.
+
+    The one vector rule. A wrong shape is named with the shape given, a bad
+    entry with its index: "p[1] must be finite and >= 0, got -0.5".
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size < least:
+        check(False, name, f"have shape (k,) with k >= {least}", v.shape)
+    ok = np.isfinite(v)
+    if low > -np.inf:
+        ok &= v >= low
+    if not ok.all():
+        i = int(np.argmin(ok))
+        rule = "be finite" if low == -np.inf else f"be finite and >= {low:g}"
+        check(False, f"{name}[{i}]", rule, v[i])
+    return v
 
 
 def log_t(x, t: float):
@@ -122,15 +151,11 @@ def exp_t(x, t: float):
     return out if out.ndim else float(out)
 
 
-def check_distribution(p, name: str) -> np.ndarray:
-    """p as a nonempty 1-d vector, finite, >= 0 and summing to 1, else an error naming it."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-d vector")
-    if np.any(p < 0.0) or not np.isfinite(p).all():
-        raise ValueError(f"{name} must be entrywise finite and >= 0")
-    if abs(p.sum() - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"{name} must sum to 1, got {float(p.sum())!r}")
+def check_distribution(p, name: str, least: int = 1) -> np.ndarray:
+    """p as a vector of at least `least` entries, finite, >= 0 and summing to 1, else an error."""
+    p = check_vector(p, name, least, low=0.0)
+    total = float(p.sum())
+    check(abs(total - 1.0) <= NORMALIZATION_TOL, name, "sum to 1", total)
     return p
 
 

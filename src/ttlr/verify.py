@@ -25,10 +25,11 @@ from .analysis import (
     is_convex_pair,
     loss_first_derivative,
     loss_second_derivative,
+    margin_derivatives,
     margin_losses,
 )
 from .loss import as_pair, batch_losses, regularized_objective
-from .partition import margin_derivatives, tempered_probs_rows
+from .partition import tempered_probs_rows
 
 __all__ = [
     "CheckResult",
@@ -279,14 +280,13 @@ def bayes_suite(num_multiclass: int = 100, seed: int = 20240503) -> list:
     return checks
 
 
-SUITE_NAMES = ("gradients", "recovery", "curvature", "bayes")
-
 _SUITES = {
     "gradients": gradient_suite,
     "recovery": recovery_suite,
     "curvature": curvature_suite,
     "bayes": bayes_suite,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_verification(suite: str) -> VerificationReport:

@@ -16,10 +16,10 @@ from ttlr.analysis import (
     is_convex_pair,
     loss_first_derivative,
     loss_second_derivative,
+    margin_derivatives,
     margin_losses,
 )
 from ttlr.loss import TemperaturePair, batch_losses
-from ttlr.partition import margin_derivatives
 
 
 def test_convex_pair_truth_table():
@@ -295,12 +295,12 @@ def test_bayes_multiclass_chart_search_stops_at_its_float_floor(monkeypatch):
 def test_bayes_multiclass_validates_input():
     with pytest.raises(ValueError):
         bayes_multiclass_check(np.array([0.5, 0.6]), TemperaturePair(1.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("p must be strictly positive, got [1.0, 0.0]")):
         bayes_multiclass_check(np.array([1.0, 0.0]), TemperaturePair(1.0, 1.0))
     with pytest.raises(ValueError):
         bayes_multiclass_check(np.array([1.0]), TemperaturePair(1.0, 1.0))
     for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5]):
-        with pytest.raises(ValueError, match="p must be finite and strictly positive"):
+        with pytest.raises(ValueError, match=r"^p\[0\] must be finite and >= 0, got -?(nan|inf)$"):
             bayes_multiclass_check(bad, TemperaturePair(0.6, 1.6))
 
 
@@ -309,9 +309,9 @@ def test_bayes_multiclass_validates_input():
     [
         # the tolerance and wording of every other sum-to-one check
         ([0.5, 0.5 + 2**-20], "p must sum to 1, got 1.0000009536743164"),
-        ([[0.5, 0.5]], "p must be a nonempty 1-d vector"),
-        ([], "p must be a nonempty 1-d vector"),
-        ([1.0], "p must have at least 2 classes"),
+        ([[0.5, 0.5]], "p must have shape (k,) with k >= 2, got (1, 2)"),
+        ([], "p must have shape (k,) with k >= 2, got (0,)"),
+        ([1.0], "p must have shape (k,) with k >= 2, got (1,)"),
     ],
 )
 def test_bayes_multiclass_checks_the_posterior_like_every_distribution(p, message):
@@ -323,25 +323,33 @@ def test_bayes_multiclass_checks_the_posterior_like_every_distribution(p, messag
 
 @pytest.mark.parametrize(
     "helper",
-    [margin_losses, loss_first_derivative, loss_second_derivative, inflection_residual],
+    [margin_losses, loss_first_derivative, loss_second_derivative, inflection_residual,
+     pytest.param(lambda a, temps: margin_derivatives(a, temps[1]), id="margin_derivatives")],
 )
 @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf, [0.0, np.nan]])
 @pytest.mark.parametrize("temps", [(0.6, 1.6), (1.0, 1.0)])
 def test_margin_helpers_reject_non_finite_margins(helper, a, temps):
-    with pytest.raises(ValueError, match="is not finite"):
+    with pytest.raises(ValueError, match=r"^margin\[\d\] must be finite, got -?(nan|inf)$"):
         helper(a, temps)
 
 
 def test_a_non_finite_margin_prints_as_a_plain_float():
-    with pytest.raises(ValueError, match=r"^margin nan at index 1 is not finite$"):
+    with pytest.raises(ValueError, match=r"^margin\[1\] must be finite, got nan$"):
         margin_losses(np.array([0.0, np.nan]), (1.0, 1.0))
 
 
 @pytest.mark.parametrize(
-    "lo, hi", [(-np.inf, 5.0), (-5.0, np.inf), (np.nan, 5.0), (-5.0, np.nan), (5.0, -5.0)]
+    "lo, hi, message",
+    [
+        (-np.inf, 5.0, "lo must be finite, got -inf"),
+        (-5.0, np.inf, "hi must be finite and > lo, got inf"),
+        (np.nan, 5.0, "lo must be finite, got nan"),
+        (-5.0, np.nan, "hi must be finite and > lo, got nan"),
+        (5.0, -5.0, "hi must be finite and > lo, got -5.0"),
+    ],
 )
-def test_scans_reject_non_finite_or_unordered_bounds(lo, hi):
-    with pytest.raises(ValueError, match="need finite bounds lo < hi"):
+def test_scans_reject_non_finite_or_unordered_bounds(lo, hi, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         find_inflection((0.6, 1.6), lo, hi)
-    with pytest.raises(ValueError, match="need finite bounds lo < hi"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         curvature_report((0.6, 1.6), lo, hi)

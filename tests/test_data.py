@@ -297,15 +297,16 @@ def test_margin_flip_prefers_confident_points():
     assert top_hits > 3 * max(bottom_hits, 1)
 
 
-def test_margin_flip_requires_binary_and_positive_ratio():
+def test_margin_flip_requires_binary_and_a_ratio_in_range():
     s = synth_gaussians(10, [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)], seed=0)
     with pytest.raises(ValueError):
         inject_margin_flip(s, 0.1, seed=0)
     b = synth_gaussians(10, [(2.0, 0.0), (-2.0, 0.0)], seed=0)
-    with pytest.raises(ValueError):
-        inject_margin_flip(b, 0.0, seed=0)
-    with pytest.raises(ValueError):
+    message = "noise level (ratio) must lie in [0, 0.5], got 0.6"
+    with pytest.raises(ValueError, match=re.escape(message)):
         inject_margin_flip(b, 0.6, seed=0)
+    # level 0 is no noise, as for the other injectors and NoiseSpec.apply
+    assert inject_margin_flip(b, 0.0, seed=0) is b
 
 
 @pytest.mark.parametrize("inject, args", [

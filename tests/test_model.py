@@ -238,6 +238,9 @@ def test_load_names_the_file_on_malformed_payloads(tmp_path, blobs):
          "malformed model field: num_classes must be an integer >= 2, got 2.7"),
         ("num_classes", None, "malformed model field: num_classes must be an integer >= 2"),
         ("t1", "warm", "malformed model field: "),
+        # a temperature is a real number, never a bool or a numeric string
+        ("t1", True, "malformed model field: temperature must lie strictly in (0, 2), got True"),
+        ("t2", "0.8", "malformed model field: temperature must lie strictly in (0, 2), got '0.8'"),
         ("dim", 3, "weight or label shape disagrees with the recorded dimensions"),
         ("num_classes", 3, "weight or label shape disagrees with the recorded dimensions"),
         ("labels", [1.0], "weight or label shape disagrees with the recorded dimensions"),

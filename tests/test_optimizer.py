@@ -254,8 +254,8 @@ def test_matches_scipy_on_convex_problem():
 
 
 def test_config_validation():
-    for bad in (0.0, -1e-6, float("nan")):
-        with pytest.raises(ValueError, match="grad_tol must be > 0"):
+    for bad in (0.0, -1e-6, float("nan"), float("inf"), True, "x", None):
+        with pytest.raises(ValueError, match="grad_tol must be finite and > 0"):
             OptimizerConfig(grad_tol=bad)
     for bad in (2.5, -3, True, "10", float("nan")):
         with pytest.raises(ValueError, match="max_iters must be an integer >= 0"):

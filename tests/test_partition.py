@@ -15,13 +15,13 @@ import pytest
 from scipy.special import logsumexp, softmax
 
 from ttlr import partition
+from ttlr.analysis import margin_derivatives
 from ttlr.loss import activation_terms
 from ttlr.partition import (
     RESIDUAL_TOL,
     escort,
     log_partition,
     log_partition_rows,
-    margin_derivatives,
     tempered_probs,
     tempered_probs_rows,
 )
@@ -194,10 +194,10 @@ def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         log_partition(np.array([np.nan, 0.0]), 1.2)
     for p in (np.array([]), np.ones((2, 2)) / 4):
-        with pytest.raises(ValueError, match="p must be a nonempty 1-d vector"):
+        with pytest.raises(ValueError, match=r"p must have shape \(k,\) with k >= 1, got"):
             escort(p, 1.2)
     for p in (np.array([-0.5, 1.5]), np.array([np.nan, 1.0]), np.array([np.inf, 1.0])):
-        with pytest.raises(ValueError, match="p must be entrywise finite and >= 0"):
+        with pytest.raises(ValueError, match=r"p\[0\] must be finite and >= 0, got"):
             escort(p, 1.2)
     with pytest.raises(ValueError):
         escort(np.array([0.0, 0.0]), 1.2)
@@ -366,8 +366,9 @@ def test_start_tables_stay_bounded():
     # as many distinct t2 as the kernel property test draws
     for t2 in np.linspace(0.01, 1.99, 150):
         log_partition_rows(np.array([[0.0, -1.0]]), float(t2))
-    info = partition._binary_table.cache_info()
-    assert info.currsize <= info.maxsize == partition._TABLES
+        log_partition_rows(np.array([[0.0, -1.0, -2.0]]), float(t2))
+    info = partition._bracket.cache_info()
+    assert info.currsize <= info.maxsize == partition._BRACKETS
 
 
 def _blocked_input(c=10):

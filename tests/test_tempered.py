@@ -176,10 +176,11 @@ def test_log_t_is_strictly_increasing(t):
 @pytest.mark.parametrize(
     "measure, message",
     [
-        (lambda: tsallis_entropy([], 1.5), "p must be a nonempty 1-d vector"),
-        (lambda: tsallis_entropy([[0.5, 0.5]], 1.5), "p must be a nonempty 1-d vector"),
-        (lambda: tsallis_entropy([1.5, -0.5], 1.5), "p must be entrywise finite and >= 0"),
-        (lambda: tsallis_entropy([np.nan, 1.0], 0.5), "p must be entrywise finite and >= 0"),
+        (lambda: tsallis_entropy([], 1.5), r"p must have shape \(k,\) with k >= 1, got \(0,\)"),
+        (lambda: tsallis_entropy([[0.5, 0.5]], 1.5),
+         r"p must have shape \(k,\) with k >= 1, got \(1, 2\)"),
+        (lambda: tsallis_entropy([1.5, -0.5], 1.5), r"p\[1\] must be finite and >= 0, got -0.5"),
+        (lambda: tsallis_entropy([np.nan, 1.0], 0.5), r"p\[0\] must be finite and >= 0, got nan"),
         (lambda: tsallis_entropy([0.5, 0.75], 0.5), "p must sum to 1, got 1.25"),
         (lambda: tsallis_divergence([0.5, 0.5], [0.7, 0.4], 1.0), "q must sum to 1"),
         (lambda: tsallis_divergence([0.5, 0.5], [0.2, 0.3, 0.5], 1.0),

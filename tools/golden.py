@@ -6,6 +6,9 @@
 
 Without --out or --diff the manifest goes to stdout: recording never
 overwrites the committed tools/golden.json unless it is named with --out.
+Like diff(1), --diff exits 0 when every artifact is identical and 1 when
+any moved or is in one manifest only, so "no output byte moved" is its
+exit status.
 
 Artifacts: a `ttlr sweep` CSV, `ttlr train` model JSONs at three temperature
 pairs on a 3-class file with the matching `ttlr predict` output, the
@@ -174,7 +177,8 @@ def main(argv=None) -> int:
     if args.diff:
         old, new = (json.loads(Path(p).read_text()) for p in args.diff)
         print("\n".join(diff(old, new)))
-        return 0
+        same = old.keys() == new.keys() and all(old[k]["sha256"] == new[k]["sha256"] for k in old)
+        return 0 if same else 1
     manifest = _dumps(record())
     if args.out:
         Path(args.out).write_text(manifest)
