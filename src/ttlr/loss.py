@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import log_partition_rows, row_sum
-from .tempered import log_t, validate_lambda, validate_temperature
+from .tempered import check, log_t, validate_lambda, validate_temperature
 
 __all__ = [
     "TemperaturePair",
@@ -58,19 +58,11 @@ def as_pair(temps) -> TemperaturePair:
 
 
 def _losses_from_probs(pn: np.ndarray, t1: float) -> np.ndarray:
-    """Vector of -log_t1(p) with the saturation conventions.
-
-    p = 0 gives the finite cap 1/(1-t1) for t1 < 1 and +inf for t1 >= 1
-    (saturation; with L2 regularization the optimizer never accepts it), and
-    so does a p > 0 whose loss overflows.
+    """-log_t1(p): at p = 0 the cap 1/(1-t1) for t1 < 1, else +inf, as on
+    overflow (never accepted under L2); NaN for the NaN p of a rejected trial.
     """
-    out = np.empty_like(pn)
-    pos = pn > 0.0
     with np.errstate(over="ignore"):
-        out[pos] = -log_t(pn[pos], t1)
-    if not pos.all():
-        out[~pos] = 1.0 / (1.0 - t1) if t1 < 1.0 else np.inf
-    return out
+        return -log_t(pn, t1)
 
 
 def _importance(pn: np.ndarray, gap: float) -> np.ndarray:
@@ -96,7 +88,9 @@ def activation_terms(A: np.ndarray, y: np.ndarray, temps):
     Gradient row i is -p^(t2-t1) (e_y - escort(P_i)), p the true-class
     probability; it is zero where p is exactly 0. The one copy of the
     surrogate's math: the objective, batch_losses and the binary margin
-    derivative (analysis.loss_first_derivative) are views of it.
+    derivative (analysis.loss_first_derivative) are views of it. y holds an
+    integer label in 1..C per row, unchecked here: Dataset and the analysis
+    helpers build valid labels, and batch_losses checks its own.
     """
     temps = as_pair(temps)
     _, _, _, P, powered = log_partition_rows(A, temps.t2)
@@ -110,8 +104,17 @@ def activation_terms(A: np.ndarray, y: np.ndarray, temps):
 
 
 def batch_losses(X, y: np.ndarray, W: np.ndarray, temps) -> np.ndarray:
-    """Per-example losses for a whole feature matrix, in example order."""
-    return activation_terms(np.asarray(X @ W, dtype=float), np.asarray(y), temps)[0]
+    """Per-example losses of the rows of X, each with its label y_i in 1..C = W.shape[1]."""
+    W, y = np.asarray(W, dtype=float), np.asarray(y)
+    n, d = X.shape
+    check(W.ndim == 2 and W.shape[0] == d, "W", f"have shape ({d}, C)", W.shape)
+    check(y.shape == (n,), "y", f"have shape ({n},)", y.shape)
+    c = W.shape[1]
+    bad = ~((y >= 1) & (y <= c) & (y % 1 == 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        check(False, f"y[{i}]", f"be an integer in [1, {c}]", y[i])
+    return activation_terms(np.asarray(X @ W, dtype=float), y.astype(np.int64), temps)[0]
 
 
 def regularized_objective(data, W: np.ndarray, temps, lam: float):
@@ -121,13 +124,15 @@ def regularized_objective(data, W: np.ndarray, temps, lam: float):
     repeated evaluations are bit-identical. A row whose true-class probability
     is exactly 0 adds the cap 1/(1-t1) to the value under t1 < 1 and +inf
     otherwise (only ever on rejected line-search trials), and no gradient.
+    W has shape (dim, C) and the labels lie in 1..C, as a Dataset's do.
     """
     lam = validate_lambda(lam)
     W = np.asarray(W, dtype=float)
     X, y = data.X, np.asarray(data.y)
-    n = X.shape[0]
+    n, d = X.shape
     if n == 0:
         raise ValueError("dataset is empty")
+    check(W.ndim == 2 and W.shape[0] == d, "W", f"have shape ({d}, C)", W.shape)
     # A rejected line-search trial may overflow the activations or the ridge
     # term; its value is then inf or NaN, and the search backs off.
     with np.errstate(over="ignore", invalid="ignore"):

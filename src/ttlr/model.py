@@ -103,8 +103,7 @@ def fit(data, temps, lam: float, config: FitConfig | None = None, init=None) -> 
         raise ValueError("feature values must be finite")
     if init is not None:
         init = np.asarray(init, dtype=float)
-        if init.shape != (d, c):
-            raise ValueError(f"init must have shape ({d}, {c}), got {init.shape}")
+        check(init.shape == (d, c), "init", f"have shape ({d}, {c})", init.shape)
         if not np.isfinite(init).all():
             raise ValueError("init weights must be finite")
 
@@ -133,10 +132,8 @@ def _stored_values(X) -> np.ndarray:
 def _activations(model: TTLRModel, x) -> np.ndarray:
     if not sparse.issparse(x):
         x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.dim:
-        raise ValueError(
-            f"input dimension {x.shape[-1]} does not match the model dimension {model.dim}"
-        )
+    d = model.dim
+    check(x.ndim in (1, 2) and x.shape[-1] == d, "input", f"have shape ({d},) or (n, {d})", x.shape)
     if not np.isfinite(_stored_values(x)).all():
         raise ValueError("input feature values must be finite")
     a = np.asarray(x @ model.W, dtype=float)

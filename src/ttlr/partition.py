@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tempered import T_SWITCH, check_vector, log_t, validate_temperature
+from .tempered import T_SWITCH, check, check_vector, log_t, validate_temperature
 
 __all__ = [
     "PartitionResult",
@@ -121,10 +121,11 @@ def log_partition_rows(A: np.ndarray, t2: float) -> PartitionRows:
     blocks of rows, solved on the worker pool and the calling thread at
     once (see _solve_blocks). Every row is solved on its own, so the output
     bytes do not depend on the blocks or the number of cores.
-    Assumes finite input; callers validate.
+    A must have shape (n, C), C >= 1; assumes finite input, callers validate.
     """
     validate_temperature(t2)
     A = np.asarray(A, dtype=float)
+    check(A.ndim == 2 and A.shape[1] >= 1, "A", "have shape (n, C) with C >= 1", A.shape)
     n, c = A.shape
     closed = abs(1.0 - t2) < T_SWITCH
     # Found here, in the calling thread: the blocks may run on other threads

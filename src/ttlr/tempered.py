@@ -46,8 +46,8 @@ def check(ok: bool, name: str, rule: str, value) -> None:
 def validate_temperature(t) -> float:
     """t as a float if it is a real number strictly inside TEMPERATURE_RANGE, else an error.
 
-    Checked at construction sites; the kernels assume it holds. A string, a
-    bool or None is refused, not converted.
+    Checked by TemperaturePair and by every public kernel that takes a
+    temperature. A string, a bool or None is refused, not converted.
     """
     lo, hi = TEMPERATURE_RANGE
     check(is_number(t) and lo < t < hi, "temperature", "lie strictly in (0, 2)", t)
@@ -106,30 +106,24 @@ def check_vector(v, name: str, least: int = 1, low: float = -np.inf) -> np.ndarr
 
 
 def log_t(x, t: float):
-    """Tempered logarithm (x^(1-t) - 1)/(1-t).
+    """Tempered logarithm (x^(1-t) - 1)/(1-t) of x >= 0, scalar or array.
 
-    Accepts scalars or arrays. x must be > 0, except that x = 0 is admitted
-    for t < 1 and returns the finite lower bound -1/(1-t) (expm1 of ln 0 =
-    -inf is exactly -1). Evaluated as expm1((1-t) ln x)/(1-t) so the t -> 1
-    limit does not cancel catastrophically.
+    A negative entry is an error naming it; NaN passes. At x = 0 it is its
+    limit: -1/(1-t) for t < 1 (expm1(-inf) is exactly -1), else -inf, also
+    in |1 - t| < T_SWITCH, where it is ln. Evaluated as expm1((1-t) ln x)/(1-t)
+    so the t -> 1 limit does not cancel.
     """
+    t = validate_temperature(t)
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("log_t requires nonnegative input")
+    negative = x < 0.0
+    if negative.any():
+        i = np.unravel_index(np.argmax(negative), x.shape)
+        check(False, "x" + "".join(f"[{k}]" for k in i), "be >= 0", x[i])
     one_minus_t = 1.0 - t
-    standard = abs(one_minus_t) < T_SWITCH
-    if standard or t >= 1.0:
-        if np.any(x == 0.0):
-            raise ValueError(
-                f"log_t(0) diverges for t >= 1 and for |1 - t| < {T_SWITCH:g}, "
-                "where log_t is computed as ln"
-            )
-        log_x = np.log(x)
-    else:
-        # the only branch where a zero reaches np.log
-        with np.errstate(divide="ignore"):
-            log_x = np.log(x)
-    out = log_x if standard else np.expm1(one_minus_t * log_x) / one_minus_t
+    with np.errstate(divide="ignore"):
+        out = np.log(x)
+    if abs(one_minus_t) >= T_SWITCH:
+        out = np.expm1(one_minus_t * out) / one_minus_t
     return out if out.ndim else float(out)
 
 
@@ -137,17 +131,20 @@ def exp_t(x, t: float):
     """Tempered exponential [1 + (1-t)x]_+^(1/(1-t)), the inverse of log_t.
 
     Total on finite inputs. Evaluated as exp(log1p((1-t)x)/(1-t)) for
-    stability near t = 1, with (1-t)x clamped at -1: log1p(-1) = -inf then
-    gives exact 0.0 below the support boundary for t < 1, and +inf at/above
-    the pole x = 1/(t-1) for t > 1.
+    stability near t = 1, with (1-t)x set to -1 at and past x = -1/(1-t)
+    (compared on x, where the product may round above -1): log1p(-1) = -inf
+    gives exact 0.0 there for t < 1, so exp_t(log_t(0)) = 0, and +inf for t > 1.
     """
+    t = validate_temperature(t)
     x = np.asarray(x, dtype=float)
     one_minus_t = 1.0 - t
     if abs(one_minus_t) < T_SWITCH:
         out = np.exp(x)
     else:
+        edge = -1.0 / one_minus_t
+        off = x <= edge if one_minus_t > 0.0 else x >= edge
         with np.errstate(divide="ignore"):
-            out = np.exp(np.log1p(np.maximum(one_minus_t * x, -1.0)) / one_minus_t)
+            out = np.exp(np.log1p(np.where(off, -1.0, one_minus_t * x)) / one_minus_t)
     return out if out.ndim else float(out)
 
 
@@ -165,6 +162,7 @@ def tsallis_entropy(p, t: float) -> float:
     Zero-probability terms contribute exactly 0 (skipped, not computed via
     IEEE infinities). Reduces to Shannon entropy at t = 1.
     """
+    t = validate_temperature(t)
     p = check_distribution(p, "p")
     live = p > 0.0
     pl = p[live]
@@ -175,14 +173,12 @@ def tsallis_divergence(p, q, t: float) -> float:
     """-Sum_c p_c log_t(q_c / p_c); reduces to KL divergence at t = 1.
 
     Terms with p_c = 0 contribute exactly 0. q_c = 0 against p_c > 0 gives
-    +inf for t >= 1 and the finite saturated value for t < 1.
+    the finite saturated value for t < 1 and +inf otherwise, as log_t(0) does.
     """
+    t = validate_temperature(t)
     p = check_distribution(p, "p")
     q = check_distribution(q, "q")
-    if p.shape != q.shape:
-        raise ValueError("p and q must have the same length")
+    check(q.shape == p.shape, "q", f"have the shape of p, {p.shape}", q.shape)
     live = p > 0.0
     pl, ql = p[live], q[live]
-    if t >= 1.0 and np.any(ql == 0.0):
-        return float("inf")
     return float(-np.sum(pl * log_t(ql / pl, t)))

@@ -221,6 +221,15 @@ def test_bayes_binary_sign_tracks_majority():
         assert (chk.a_star_numeric > 0) == (eta > 0.5)
 
 
+def test_bayes_binary_closed_form_at_an_underflowing_posterior():
+    # eta^(1/t1) = 1e-3000 underflows to 0; the closed form is then
+    # log_t2(0) - log_t2(1) = -inf at t2 > 1, not an error
+    chk = bayes_binary_check(1e-300, TemperaturePair(0.1, 1.5))
+    assert chk.a_star_closed_form == -np.inf
+    assert chk.sign_consistent
+    assert np.sign(chk.a_star_numeric) == np.sign(chk.a_star_closed_form) == -1.0
+
+
 def test_bayes_binary_validates_eta():
     for bad in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError):

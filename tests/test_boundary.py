@@ -1,9 +1,9 @@
 """Every public scalar setting is checked where it enters, in one message form.
 
-A string, None, a bool or NaN given for a temperature, a tolerance, a ridge
-weight, a posterior, a scan bound or a noise setting is refused with a
-ValueError "{name} must {rule}, got {value!r}", never coerced and never left
-to fail later as a TypeError.
+A string, None, a bool or NaN given for a temperature (of a pair or of a
+public kernel), a tolerance, a ridge weight, a posterior, a scan bound or a
+noise setting is refused with a ValueError "{name} must {rule}, got
+{value!r}", never coerced and never left to fail later as a TypeError.
 """
 
 import math
@@ -21,7 +21,7 @@ from ttlr.data import (
 from ttlr.loss import TemperaturePair
 from ttlr.model import FitConfig, fit
 from ttlr.optimizer import OptimizerConfig
-from ttlr.tempered import validate_lambda
+from ttlr.tempered import exp_t, log_t, tsallis_divergence, tsallis_entropy, validate_lambda
 
 DATA = synth_gaussians(10, [(2.0, 0.0), (-2.0, 0.0)], seed=0)
 QUASI_CONVEX = (0.6, 1.6)
@@ -55,6 +55,24 @@ def test_a_bad_scalar_setting_is_refused_by_name(name, enter, value):
         enter(value)
     message = str(err.value)
     assert message.startswith(f"{name} must ") and message.endswith(f", got {value!r}")
+
+
+# the public kernels check their temperature as TemperaturePair does
+KERNELS = [
+    lambda t: log_t(1.0, t),
+    lambda t: exp_t(1.0, t),
+    lambda t: tsallis_entropy([0.5, 0.5], t),
+    lambda t: tsallis_divergence([0.5, 0.5], [0.25, 0.75], t),
+]
+
+
+@pytest.mark.parametrize("enter", KERNELS, ids=["log_t", "exp_t", "tsallis_entropy",
+                                                "tsallis_divergence"])
+@pytest.mark.parametrize("t", ["1.5", None, True, math.nan, 5.0])
+def test_a_kernel_refuses_a_bad_temperature(enter, t):
+    with pytest.raises(ValueError) as err:
+        enter(t)
+    assert str(err.value) == f"temperature must lie strictly in (0, 2), got {t!r}"
 
 
 def test_fit_refuses_an_infinite_gradient_tolerance():

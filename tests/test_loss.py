@@ -246,6 +246,34 @@ def test_objective_validates_inputs():
         regularized_objective(empty, np.zeros((1, 2)), (1.0, 1.0), 0.1)
 
 
+def test_objective_refuses_a_weight_matrix_of_the_wrong_height():
+    data = make_dataset(np.ones((2, 2)), [1, 2])
+    for W in (np.zeros((3, 2)), np.zeros(2)):
+        with pytest.raises(ValueError) as err:
+            regularized_objective(data, W, (1.0, 1.0), 0.1)
+        assert str(err.value) == f"W must have shape (2, C), got {W.shape}"
+
+
+@pytest.mark.parametrize(
+    "y, message",
+    [
+        ([1, 5], r"^y\[1\] must be an integer in \[1, 3\], got 5$"),
+        # a label 0 would score the last class through P[rows, y - 1]
+        ([0, 1], r"^y\[0\] must be an integer in \[1, 3\], got 0$"),
+        ([1.5, 1.0], r"^y\[0\] must be an integer in \[1, 3\], got 1.5$"),
+        ([1], r"^y must have shape \(2,\), got \(1,\)$"),
+    ],
+)
+def test_batch_losses_checks_its_labels(y, message):
+    with pytest.raises(ValueError, match=message):
+        batch_losses(np.ones((2, 2)), y, np.zeros((2, 3)), (1.0, 1.0))
+
+
+def test_batch_losses_takes_integer_valued_float_labels():
+    losses = batch_losses(np.ones((2, 2)), [1.0, 3.0], np.zeros((2, 3)), (1.0, 1.0))
+    assert np.allclose(losses, math.log(3.0))
+
+
 @settings(max_examples=60)
 @given(
     t1=st.floats(min_value=0.1, max_value=1.9),

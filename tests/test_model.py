@@ -269,13 +269,22 @@ def test_load_reads_integer_valued_float_dimensions(tmp_path, blobs):
 def test_predict_validates_width(blobs):
     model = fit(blobs, temps=(1.0, 1.0), lam=1e-3)
     for x in (np.ones(5), np.ones(1), np.ones((4, 3)), sparse.csr_array(np.ones((2, 3)))):
-        with pytest.raises(ValueError, match="input dimension .* does not match"):
+        with pytest.raises(ValueError, match=r"^input must have shape \(2,\) or \(n, 2\), got"):
             predict(model, x)
     for x in (np.array([np.nan, 1.0]), np.array([[1.0, 0.0], [np.inf, 2.0]])):
         with pytest.raises(ValueError, match="must be finite"):
             predict(model, x)
         with pytest.raises(ValueError, match="must be finite"):
             predict_proba(model, x)
+
+
+def test_predict_refuses_input_that_is_neither_a_vector_nor_a_matrix():
+    # a (1, 1, 2) input once passed the width check and predicted [[1, 1, 1]]
+    model = TTLRModel(np.zeros((2, 3)), TemperaturePair(1.0, 1.0), 0.1)
+    for x in (np.zeros((1, 1, 2)), np.float64(1.0)):
+        for call in (predict, predict_proba):
+            with pytest.raises(ValueError, match=r"^input must have shape \(2,\) or \(n, 2\), got"):
+                call(model, x)
 
 
 def test_fit_rejects_bad_lambda_and_features(blobs):

@@ -495,3 +495,9 @@ def test_forked_child_rebuilds_the_pool(monkeypatch):
         if proc.is_alive():
             proc.kill()
         pool.shutdown()
+
+
+@pytest.mark.parametrize("A", [np.array([1.0, 2.0]), np.zeros((2, 0)), np.zeros((1, 1, 2))])
+def test_log_partition_rows_refuses_anything_but_a_matrix_of_rows(A):
+    with pytest.raises(ValueError, match=r"^A must have shape \(n, C\) with C >= 1, got \("):
+        log_partition_rows(A, 1.5)

@@ -1,6 +1,7 @@
 """Tempered logarithm / exponential kernels and the entropy helpers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,29 +65,45 @@ def test_log_t_lower_bound_for_cool_temperatures():
         assert np.all(log_t(x[2:], t) > bound)
 
 
-def test_log_t_rejects_zero_when_hot():
-    with pytest.raises(ValueError):
-        log_t(0.0, 1.0)
-    with pytest.raises(ValueError):
-        log_t(np.array([0.5, 0.0]), 1.3)
+def test_log_t_zero_is_minus_infinity_when_hot():
+    # for t >= 1 log_t(0) is its limit, -inf, as exp_t(x) is +inf at its pole
+    assert log_t(0.0, 1.0) == -np.inf
+    assert np.array_equal(log_t(np.array([0.5, 0.0]), 1.3), [log_t(0.5, 1.3), -np.inf])
 
 
 def test_log_t_zero_at_the_edge_of_the_standard_band():
     # just outside |1 - t| < T_SWITCH a cool t keeps the finite bound; just
-    # inside, log_t is ln, and the message names that band, not only t >= 1
+    # inside, log_t is ln, whose limit at 0 is -inf
     outside = 1.0 - 2.0 * T_SWITCH
     assert log_t(0.0, outside) == -1.0 / (1.0 - outside)
-    with pytest.raises(ValueError, match=r"\|1 - t\| < 1e-06"):
-        log_t(0.0, 1.0 - 0.5 * T_SWITCH)
-    with pytest.raises(ValueError, match="t >= 1"):
-        log_t(0.0, 1.3)
+    assert log_t(0.0, 1.0 - 0.5 * T_SWITCH) == -np.inf
+    assert log_t(0.0, 1.3) == -np.inf
+
+
+ZERO_GRID = sorted(
+    {*np.linspace(0.05, 1.95, 39), *(1.0 + k * T_SWITCH for k in (-2.0, -0.5, 0.5, 2.0))}
+)
+
+
+@pytest.mark.parametrize("t", ZERO_GRID)
+def test_log_t_at_zero_is_its_limit_without_a_warning(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        limit = log_t(0.0, t)
+        assert limit == (-1.0 / (1.0 - t) if t < 1.0 - T_SWITCH else -np.inf)
+        assert exp_t(limit, t) == 0.0
+        assert math.isnan(log_t(math.nan, t))
+        assert np.isnan(log_t(np.array([0.5, np.nan]), t)[1])
 
 
 def test_log_t_rejects_negative_input():
-    with pytest.raises(ValueError):
+    # the first negative entry is named by its index; NaN passes (see above)
+    with pytest.raises(ValueError, match=r"^x must be >= 0, got -1.0$"):
         log_t(-1.0, 0.7)
-    with pytest.raises(ValueError):
-        log_t(np.array([1.0, -0.1]), 1.2)
+    with pytest.raises(ValueError, match=r"^x\[1\] must be >= 0, got -0.1$"):
+        log_t(np.array([1.0, -0.1, -2.0]), 1.2)
+    with pytest.raises(ValueError, match=r"^x\[1\]\[0\] must be >= 0, got -2.0$"):
+        log_t(np.array([[1.0, 0.0], [-2.0, 1.0]]), 0.5)
 
 
 def test_exp_t_clamps_to_exact_zero_below_support():
@@ -184,7 +201,7 @@ def test_log_t_is_strictly_increasing(t):
         (lambda: tsallis_entropy([0.5, 0.75], 0.5), "p must sum to 1, got 1.25"),
         (lambda: tsallis_divergence([0.5, 0.5], [0.7, 0.4], 1.0), "q must sum to 1"),
         (lambda: tsallis_divergence([0.5, 0.5], [0.2, 0.3, 0.5], 1.0),
-         "p and q must have the same length"),
+         r"q must have the shape of p, \(2,\), got \(3,\)"),
     ],
 )
 def test_entropy_measures_reject_a_bad_distribution(measure, message):
