@@ -4,8 +4,9 @@ Works in the binary margin parameterization (activations [a/2, -a/2], label
 c = +1): every margin helper builds its activations from that one embedding
 and checks its margins with one rule. The first derivative of the loss is
 the training kernel's activation gradient along the embedding, the second a
-closed form in the derivatives of G along it (`margin_derivatives`); both
-are checked against finite differences in `verify`. Here they drive regime
+closed form in the derivatives of G along it (`margin_derivatives`) whose
+powers of p are the gradient's `loss.positive_power`; both are checked
+against finite differences in `verify`. Here they drive regime
 classification and inflection search. One oracle verifies that minimizing
 the expected loss recovers the class posterior's argmax: the multiclass
 check, which polishes on the p-weighted training kernel itself. The binary
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import TemperaturePair, activation_terms, as_pair, batch_losses
+from .loss import TemperaturePair, activation_terms, as_pair, batch_losses, positive_power
 from .optimizer import OptimizerConfig, lbfgs_minimize
 from .partition import log_partition_rows, row_sum, tempered_probs_rows
 from .tempered import check, check_distribution, check_vector, is_number, log_t
@@ -76,9 +77,7 @@ def margin_derivatives(a, t2: float):
     S = row_sum(powered)
     d1 = 0.5 * (powered[:, 0] - powered[:, 1]) / S
     # P**(2 t2 - 1) = P**t2 * P**(t2 - 1), exactly P at t2 = 1
-    weights = np.zeros_like(P)
-    pos = P > 0.0
-    weights[pos] = powered[pos] * (powered[pos] / P[pos])
+    weights = powered * positive_power(P, t2 - 1.0)
     d2 = t2 * row_sum(weights * (_MARGIN_EMBEDDING - d1[:, None]) ** 2) / S
     return P[:, 0], d1, d2
 
@@ -109,14 +108,11 @@ def _curvature_balance(a, temps: TemperaturePair):
 
     The c=+1 loss has second derivative p^(t2-t1) times the balance, so its
     zeros are the inflections. An exactly-zero probability contributes no gap
-    term (the same skip convention as every other escort-power sum); d2G is 0
-    there too, so the balance is exactly 0 on the p = 0 plateau.
+    term (`positive_power` is 0 there); d2G is 0 there too, so the balance is
+    exactly 0 on the p = 0 plateau.
     """
     p, d1, d2 = margin_derivatives(a, temps.t2)
-    gap_term = np.zeros_like(p)
-    pos = p > 0.0
-    gap_term[pos] = temps.gap * np.power(p[pos], temps.t2 - 1.0) * (0.5 - d1[pos]) ** 2
-    return p, d2 - gap_term
+    return p, d2 - temps.gap * positive_power(p, temps.t2 - 1.0) * (0.5 - d1) ** 2
 
 
 def loss_second_derivative(a, temps):
@@ -126,9 +122,7 @@ def loss_second_derivative(a, temps):
     """
     temps = as_pair(temps)
     p, balance = _curvature_balance(_margins(a), temps)
-    out = np.zeros_like(p)
-    pos = p > 0.0
-    out[pos] = np.power(p[pos], temps.gap) * balance[pos]
+    out = positive_power(p, temps.gap) * balance
     return out if np.ndim(a) else float(out[0])
 
 
@@ -258,19 +252,16 @@ class BayesCheck:
 def bayes_binary_check(eta: float, temps) -> BayesCheck:
     """The two-class multiclass oracle at posterior [eta, 1 - eta], as a margin.
 
-    The numeric minimizer is a_star[0] - a_star[1] of `bayes_multiclass_check`.
-    The closed form is log_t2 of the tilted posterior ratio: with z_c =
-    eta_c^(1/t1) and Z = z_+ + z_-, a* = log_t2(z_+/Z) - log_t2(z_-/Z).
+    The numeric minimizer is a_star[0] - a_star[1] of `bayes_multiclass_check`,
+    the closed form log_t2(target[0]) - log_t2(target[1]) of its tilted
+    posterior target = [eta, 1 - eta]^(1/t1) / Z.
     """
     temps = as_pair(temps)
     check(is_number(eta) and 0.0 < eta < 1.0, "eta", "lie strictly in (0, 1)", eta)
     eta = float(eta)
-    a_star = bayes_multiclass_check([eta, 1.0 - eta], temps).a_star
-    a_num = float(a_star[0] - a_star[1])
-    z_pos = eta ** (1.0 / temps.t1)
-    z_neg = (1.0 - eta) ** (1.0 / temps.t1)
-    z_total = z_pos + z_neg
-    a_closed = log_t(z_pos / z_total, temps.t2) - log_t(z_neg / z_total, temps.t2)
+    chk = bayes_multiclass_check([eta, 1.0 - eta], temps)
+    a_num = float(chk.a_star[0] - chk.a_star[1])
+    a_closed = log_t(chk.target[0], temps.t2) - log_t(chk.target[1], temps.t2)
     if abs(eta - 0.5) < 1e-9:
         consistent = abs(a_num) <= 1e-6
     else:
@@ -300,8 +291,10 @@ def bayes_multiclass_check(p, temps) -> MulticlassBayesCheck:
     and the resulting point is polished in activation coordinates to a
     gradient of 1e-10 on the training kernel `activation_terms`, weighted by
     p; the chart objective is its t2 = 1 case, written out for speed. The
-    check passes when probs(a*) matches the renormalized p^(1/t1) within 1e-4
-    in sup norm and the argmax of a* equals the argmax of p.
+    check passes when probs(a*) matches target = p^(1/t1)/Z within 1e-4 in
+    sup norm and the argmax of a* equals the argmax of p. A p whose tilt no
+    float activation reaches (the polish would start on the t2 < 1 support
+    edge) is refused.
     """
     temps = as_pair(temps)
     p = check_distribution(p, "p", 2)
@@ -347,7 +340,11 @@ def bayes_multiclass_check(p, temps) -> MulticlassBayesCheck:
         return float(p @ losses), grad_a[:-1] - grad_a[-1]
 
     config = OptimizerConfig(grad_tol=1e-10, max_iters=1000)
-    z_star, _ = lbfgs_minimize(objective, a_chart[:-1], config)
+    try:
+        z_star, _ = lbfgs_minimize(objective, a_chart[:-1], config)
+    except ValueError:  # a start on the support edge, where P = 0 and the loss is +inf
+        rule = "tilt to class probabilities float activations can reach"
+        check(False, f"p at (t1, t2) = {temps.t1, temps.t2}", rule, p.tolist())
     a_star = embed(z_star)
     probs_star = tempered_probs_rows(a_star[None, :], temps.t2)[0]
     target = np.power(p, 1.0 / temps.t1)

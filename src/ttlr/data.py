@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .tempered import check, is_number, plain_number, validate_count
+from .tempered import check, check_labels, is_number, plain_number, validate_count
 
 __all__ = [
     "Dataset",
@@ -75,23 +75,13 @@ class Dataset:
         if not sparse.issparse(X):
             X = X.view(_DenseFeatures)
         object.__setattr__(self, "X", X)
-        y = np.asarray(self.y)
-        if y.dtype.kind not in "iu":
-            y = np.asarray(y, dtype=float)
-            bad = np.flatnonzero(~np.isfinite(y) | (y != np.trunc(y)))
-            if bad.size:
-                raise ValueError(
-                    f"labels must be integers, got {float(y.flat[bad[0]])!r} at index {bad[0]}"
-                )
-        y = y.astype(np.int64, copy=False)
-        object.__setattr__(self, "y", y)
-        if self.X.shape[0] != y.shape[0]:
-            raise ValueError("feature matrix and label vector disagree on N")
-        if y.size and (y.min() < 1 or y.max() > self.num_classes):
-            raise ValueError("labels must lie in {1..num_classes}")
+        c = validate_count(self.num_classes, "Dataset num_classes", 1)
+        object.__setattr__(self, "num_classes", c)
+        object.__setattr__(self, "y", check_labels(self.y, c, X.shape[0], "Dataset y"))
         if not self.label_table:
-            identity = tuple(float(k) for k in range(1, self.num_classes + 1))
-            object.__setattr__(self, "label_table", identity)
+            object.__setattr__(self, "label_table", tuple(float(k) for k in range(1, c + 1)))
+        if len(self.label_table) != c:
+            check(False, "Dataset label_table", f"have {c} entries", self.label_table)
 
     @property
     def n(self) -> int:

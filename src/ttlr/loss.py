@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import log_partition_rows, row_sum
-from .tempered import check, log_t, validate_lambda, validate_temperature
+from .tempered import check, check_labels, log_t, validate_lambda, validate_temperature
 
 __all__ = [
     "TemperaturePair",
@@ -27,7 +27,7 @@ __all__ = [
     "regularized_objective",
 ]
 
-# ln of the largest float: the most the log-space importance factor may reach.
+# ln of the largest float: the most the log-space power may reach.
 _LOG_MAX = float(np.log(np.finfo(float).max))
 
 
@@ -65,21 +65,19 @@ def _losses_from_probs(pn: np.ndarray, t1: float) -> np.ndarray:
         return -log_t(pn, t1)
 
 
-def _importance(pn: np.ndarray, gap: float) -> np.ndarray:
-    """Importance factor p^gap, evaluated in log space for underflow safety.
+def positive_power(p: np.ndarray, k: float) -> np.ndarray:
+    """p^k entrywise for p >= 0, taken as 0 at p = 0 for every k.
 
-    At p = 0 the factor is taken as 0: for gap > 0 that is the limit, and for
-    t1 < 1 the loss is flat there (plateau), so the zero gradient is exact
-    either way. Elsewhere it is exactly 1 at zero gap. A factor beyond the
-    largest float (gap < 0 and p near the float floor) is capped there, so
-    the gradient stays finite.
+    The one zero-mass power: the gradient's importance factor p^(t2-t1) and
+    the `analysis` curvature terms. At p = 0 the 0 is the limit for k > 0; for
+    k <= 0 it multiplies a flat loss or a zero. Else it is exp(k ln p), 1 at
+    k = 0, capped at the largest float so a gradient stays finite; NaN gives 0.
     """
-    if not gap:
-        return (pn > 0.0).astype(float)
-    out = np.zeros_like(pn)
-    pos = pn > 0.0
-    out[pos] = np.exp(np.minimum(gap * np.log(pn[pos]), _LOG_MAX))
-    return out
+    live = p > 0.0
+    if not k:
+        return live.astype(float)
+    power = np.exp(np.minimum(k * np.log(np.where(live, p, 1.0)), _LOG_MAX))
+    return np.where(live, power, 0.0)
 
 
 def activation_terms(A: np.ndarray, y: np.ndarray, temps):
@@ -99,22 +97,17 @@ def activation_terms(A: np.ndarray, y: np.ndarray, temps):
     # -escort, built in the powered buffer (which may be P itself at t2 = 1)
     dA = np.divide(powered, -row_sum(powered)[:, None], out=powered)
     dA[rows, y - 1] += 1.0
-    dA *= -_importance(pn, temps.gap)[:, None]
+    dA *= -positive_power(pn, temps.gap)[:, None]
     return _losses_from_probs(pn, temps.t1), dA
 
 
 def batch_losses(X, y: np.ndarray, W: np.ndarray, temps) -> np.ndarray:
     """Per-example losses of the rows of X, each with its label y_i in 1..C = W.shape[1]."""
-    W, y = np.asarray(W, dtype=float), np.asarray(y)
+    W = np.asarray(W, dtype=float)
     n, d = X.shape
     check(W.ndim == 2 and W.shape[0] == d, "W", f"have shape ({d}, C)", W.shape)
-    check(y.shape == (n,), "y", f"have shape ({n},)", y.shape)
-    c = W.shape[1]
-    bad = ~((y >= 1) & (y <= c) & (y % 1 == 0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        check(False, f"y[{i}]", f"be an integer in [1, {c}]", y[i])
-    return activation_terms(np.asarray(X @ W, dtype=float), y.astype(np.int64), temps)[0]
+    y = check_labels(y, W.shape[1], n, "y")
+    return activation_terms(np.asarray(X @ W, dtype=float), y, temps)[0]
 
 
 def regularized_objective(data, W: np.ndarray, temps, lam: float):

@@ -105,6 +105,25 @@ def check_vector(v, name: str, least: int = 1, low: float = -np.inf) -> np.ndarr
     return v
 
 
+def check_labels(y, c: int, n: int, name: str) -> np.ndarray:
+    """y as an int64 vector of n labels, each an integer in [1, c], else an error.
+
+    The one label rule; it names a wrong shape, or the first bad label by index.
+    """
+    y = np.asarray(y)
+    if y.shape != (n,):
+        check(False, name, f"have shape ({n},)", y.shape)
+    if y.dtype.kind not in "iu":
+        y = np.asarray(y, dtype=float)
+    ok = (y >= 1) & (y <= c)
+    if y.dtype.kind == "f":
+        ok &= y == np.trunc(y)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        check(False, f"{name}[{i}]", f"be an integer in [1, {c}]", y[i])
+    return y.astype(np.int64, copy=False)
+
+
 def log_t(x, t: float):
     """Tempered logarithm (x^(1-t) - 1)/(1-t) of x >= 0, scalar or array.
 

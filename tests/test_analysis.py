@@ -20,6 +20,7 @@ from ttlr.analysis import (
     margin_losses,
 )
 from ttlr.loss import TemperaturePair, batch_losses
+from ttlr.tempered import log_t
 
 
 def test_convex_pair_truth_table():
@@ -207,6 +208,17 @@ def test_bayes_binary_closed_form_independent_recompute():
     assert type(chk.sign_consistent) is bool
 
 
+@pytest.mark.parametrize("temps", [(1.0, 1.0), (0.6, 1.6), (1.3, 1.0), (0.8, 0.6), (1.5, 0.8)])
+def test_bayes_binary_closed_form_is_log_t2_of_the_tilted_posterior(temps):
+    t1, t2 = temps
+    for eta in (1e-6, 0.01, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.99, 1.0 - 1e-6):
+        zp, zm = eta ** (1.0 / t1), (1.0 - eta) ** (1.0 / t1)
+        plus, minus = log_t(zp / (zp + zm), t2), log_t(zm / (zp + zm), t2)
+        got = bayes_binary_check(eta, TemperaturePair(t1, t2)).a_star_closed_form
+        # ulps of the larger term, since the difference cancels near eta = 1/2
+        assert abs(got - (plus - minus)) <= 4 * np.spacing(max(abs(plus), abs(minus))), eta
+
+
 def test_bayes_binary_balanced_posterior_is_zero():
     for temps in ((1.0, 1.0), (0.6, 1.6), (1.2, 0.8)):
         chk = bayes_binary_check(0.5, TemperaturePair(*temps))
@@ -311,6 +323,16 @@ def test_bayes_multiclass_validates_input():
     for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5]):
         with pytest.raises(ValueError, match=r"^p\[0\] must be finite and >= 0, got -?(nan|inf)$"):
             bayes_multiclass_check(bad, TemperaturePair(0.6, 1.6))
+
+
+@pytest.mark.parametrize("eta", [1e-100, 1e-200, 1e-300])
+def test_bayes_oracle_names_a_posterior_past_the_support_edge(eta):
+    # at t2 < 1 the tilted class probability is too small for a float
+    # activation, so the polish would start where P = 0 and the loss is +inf
+    message = ("p at (t1, t2) = (1.5, 0.3) must tilt to class probabilities float "
+               f"activations can reach, got [{eta!r}, 1.0]")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bayes_binary_check(eta, TemperaturePair(1.5, 0.3))
 
 
 @pytest.mark.parametrize(

@@ -407,13 +407,40 @@ def test_dataset_validates_labels():
 
 
 @pytest.mark.parametrize(
-    "y, bad",
-    [([1.5, 2.0], "1.5 at index 0"), ([1.0, np.nan], "nan at index 1"), ([2, np.inf], "inf at index 1")],
+    "y, bad, got",
+    [([1.5, 2.0], "y[0]", "1.5"), ([1.0, np.nan], "y[1]", "nan"), ([2, np.inf], "y[1]", "inf")],
 )
-def test_dataset_rejects_fractional_labels(y, bad):
+def test_dataset_rejects_fractional_labels(y, bad, got):
     # np.int64 would silently truncate 1.5 to class 1
-    with pytest.raises(ValueError, match=f"labels must be integers, got {bad}"):
+    message = f"Dataset {bad} must be an integer in [1, 2], got {got}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Dataset(np.ones((2, 1)), y, num_classes=2)
+
+
+def test_dataset_refuses_a_label_matrix():
+    # a (3, 1) y would broadcast against the (3,) predictions inside fit
+    message = "Dataset y must have shape (3,), got (3, 1)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Dataset(np.ones((3, 1)), [[1], [2], [1]], 2)
+
+
+@pytest.mark.parametrize("num_classes", [2.5, "2", True, 0])
+def test_dataset_refuses_a_class_count_that_is_not_a_count(num_classes):
+    message = f"Dataset num_classes must be an integer >= 1, got {num_classes!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Dataset(np.ones((2, 1)), [1, 1], num_classes)
+
+
+def test_dataset_reads_an_integer_valued_class_count():
+    data = Dataset(np.ones((2, 1)), [1, 2], np.float64(2.0))
+    assert type(data.num_classes) is int and data.label_table == (1.0, 2.0)
+
+
+def test_dataset_refuses_a_label_table_of_another_length():
+    # fit and save_model would succeed and load_model then refuse the file
+    message = "Dataset label_table must have 2 entries, got (5.0,)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Dataset(np.ones((2, 1)), [1, 2], 2, label_table=(5.0,))
 
 
 def test_dataset_accepts_integer_valued_float_labels():

@@ -1,6 +1,7 @@
 """Surrogate loss values, analytic gradients, and the regularized objective."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy import sparse
 
 from ttlr.analysis import loss_first_derivative, margin_losses
 from ttlr.data import Dataset
-from ttlr.loss import TemperaturePair, batch_losses, regularized_objective
+from ttlr.loss import TemperaturePair, batch_losses, positive_power, regularized_objective
 
 
 def make_dataset(X_dense, y, num_classes=None):
@@ -115,6 +116,25 @@ def test_importance_factor_scales_gradient():
     base = one_row_grad(x, 1, np.zeros((1, 2)), (1.0, 1.0))
     damped = one_row_grad(x, 1, np.zeros((1, 2)), (0.5, 1.0))
     assert np.allclose(damped, base * 2.0 ** (-0.5), atol=1e-14)
+
+
+@pytest.mark.parametrize("k", [-0.99, -0.5, 0.0, 0.4, 1.0, 1.99])
+def test_positive_power_table(k):
+    p = np.array([0.0, 5e-324, 1e-300, 0.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = positive_power(p, k)
+    assert out[0] == 0.0 and np.isfinite(out).all()
+    for pi, got in zip(p[1:], out[1:]):
+        try:
+            want = math.pow(pi, k)
+        except OverflowError:  # 5e-324 ** -0.99: the cap, the largest float through its log
+            assert got == np.exp(np.log(np.finfo(float).max))
+            continue
+        # exp(k ln p) carries the rounding of k ln p into its relative error,
+        # about |k ln p| ulp at most: 4 ulp near p = 1, 143 at (1e-300, 1)
+        ulps = 4.0 + abs(k * math.log(pi))
+        assert abs(got - want) <= ulps * np.spacing(want), (pi, k, got, want)
 
 
 def test_binary_grad_saturation_mirror():
