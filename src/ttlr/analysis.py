@@ -321,7 +321,10 @@ def bayes_multiclass_check(p, temps) -> MulticlassBayesCheck:
     v0 = np.log(p)
     v0 = (v0 - v0[-1])[:-1]
     chart_config = OptimizerConfig(grad_tol=1e-12, max_iters=2000)
-    v_star, _ = lbfgs_minimize(chart_objective, v0, chart_config)
+    # A trial step far out in the chart overflows exp to inf and inf / inf
+    # to NaN: a non-finite value, which the line search rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_star, _ = lbfgs_minimize(chart_objective, v0, chart_config)
     ev = np.exp(np.concatenate([v_star, [0.0]]))
     probs_chart = ev / ev.sum()
     a_chart = log_t(probs_chart, temps.t2)

@@ -79,11 +79,15 @@ def fit(data, temps, lam: float, config: FitConfig | None = None, init=None) -> 
     """Minimize the regularized objective from init, or a seeded near-zero W.
 
     init is a (dim, num_classes) start W, such as the solution at a nearby
-    lambda; when it is given the seed is not used. Deterministic given
-    (data, temps, lam, seed, init). A dataset whose features are identically
-    zero short-circuits to the zero solution, with termination
-    "degenerate_data" and that solution as the trace's one point (every W is
-    then equivalent up to regularization, and the gradient at 0 is 0).
+    lambda; when it is given the seed is not used, and an init where the
+    objective or its gradient is not finite is an error naming it. Where the
+    seeded W gives such an objective, the fit starts from W = 0 instead,
+    where only a gradient past the float range is an error.
+    Deterministic given (data, temps, lam, seed, init). A dataset whose
+    features are identically zero short-circuits to the zero solution, with
+    termination "degenerate_data" and that solution as the trace's one point
+    (every W is then equivalent up to regularization, and the gradient at 0
+    is 0).
     """
     temps = as_pair(temps)
     config = config or FitConfig()
@@ -113,14 +117,26 @@ def fit(data, temps, lam: float, config: FitConfig | None = None, init=None) -> 
         trace.record(regularized_objective(data, W, temps, lam)[0], 0.0, 0.0)
         return TTLRModel(W, temps, lam, trace, data.label_table)
 
-    if init is None:
+    seeded = init is None
+    if seeded:
         init = np.random.default_rng(config.seed).normal(0.0, INIT_STDDEV, size=(d, c))
 
     def objective(flat):
         value, grad = regularized_objective(data, flat.reshape(d, c), temps, lam)
         return value, grad.ravel()
 
-    flat, trace = lbfgs_minimize(objective, init, config.optimizer)
+    try:
+        flat, trace = lbfgs_minimize(objective, init, config.optimizer)
+    except ValueError:  # the objective is not finite at init
+        if not seeded:
+            raise
+        # Huge features can give the seeded W activations that leave a true
+        # class no mass; at W = 0 every p is 1/C and the value is finite.
+        try:
+            flat, trace = lbfgs_minimize(objective, np.zeros(d * c), config.optimizer)
+        except ValueError:  # a gradient entry, a sum over features, overflowed
+            top = float(np.abs(values).max())
+            check(False, "feature values", "keep the gradient at W = 0 finite", top)
     return TTLRModel(flat.reshape(d, c), temps, lam, trace, data.label_table)
 
 

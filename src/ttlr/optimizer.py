@@ -112,14 +112,15 @@ def lbfgs_minimize(objective, init, config: OptimizerConfig | None = None):
     ("no_progress"); after max_iters accepted steps ("max_iterations"); or
     when the line search cannot make progress ("line_search_failed"). Every
     stop returns the best point so far, recorded in the trace, not raised.
-    The objective must be finite at init.
+    The objective and its gradient must be finite at init, else a ValueError
+    names it.
     """
     config = config or OptimizerConfig()
     x = np.array(init, dtype=float).ravel()
     f, g = objective(x)
     g = np.asarray(g, dtype=float).ravel()
-    if not np.isfinite(f) or not np.isfinite(g).all():
-        raise ValueError("objective must be finite at the starting point")
+    check(np.isfinite(f) and np.isfinite(g).all(), "objective at init",
+          "be finite with a finite gradient", f)
 
     trace = OptimizationTrace(evaluations=1)
     gnorm = float(np.abs(g).max())
@@ -162,10 +163,13 @@ def lbfgs_minimize(objective, init, config: OptimizerConfig | None = None):
 
         g_new = np.asarray(g_new, dtype=float).ravel()
         s = x_new - x
-        ygap = g_new - g
-        sty = float(s @ ygap)
-        if sty > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(ygap)):
-            memory.append((s, ygap, 1.0 / sty))
+        # Near the float limit ygap or a norm overflows to inf; the guard
+        # then fails and the pair, which cannot be trusted, is skipped.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ygap = g_new - g
+            sty = float(s @ ygap)
+            if sty > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(ygap)):
+                memory.append((s, ygap, 1.0 / sty))
 
         # Accepted values never rise, so f is the best value seen so far.
         value_improved = f - f_new > _EPS * abs(f)

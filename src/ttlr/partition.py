@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tempered import T_SWITCH, check, check_vector, log_t, validate_temperature
+from .tempered import T_SWITCH, check, check_vector, exp_t_terms, log_t, validate_temperature
 
 __all__ = [
     "PartitionResult",
@@ -104,12 +104,12 @@ def log_partition_rows(A: np.ndarray, t2: float) -> PartitionRows:
     the root is bracketed in [max_c a_c, max_c a_c - log_t2(1/C)] where the
     residual f(g) = sum_c exp_t2(b_c - g) - 1 changes sign. A two-class row
     starts at the root tabulated for its gap (see _binary_table), any other
-    row at g = 0; the bracket and its safeguards are the same. One pass gives
-    p = exp_t2(b - g) together with u = 1 + (1-t2)(b - g); on the support
-    p^t2 = p/u, so f' = -sum p/u and f'' = t2 sum p/u^2 cost two divisions.
+    row at g = 0; the bracket and its safeguards are the same. A pass is one
+    exp_t_terms call: p = exp_t2(b - g) and u = 1 + (1-t2)(b - g). On the
+    support p^t2 = p/u, so f' = -sum p/u and f'' = t2 sum p/u^2: two divisions.
     The step is Halley's, g - (f/f')/(1 - f f''/(2 f'^2)), replaced by
     bisection of the bracket where it is not finite or leaves the bracket.
-    Off the t2 < 1 support, P and powered are exactly 0.
+    Off the t2 < 1 support, b - g <= -1/(1-t2), P and powered are exactly 0.
 
     A row stops once |f| <= RESIDUAL_TOL, or, after _FLOOR_AFTER steps, at
     the float floor: its step returns g, or no float lies strictly inside
@@ -154,7 +154,7 @@ def _solve_rows(
 
     top = -log_t2(1/C) is the upper end of the shifted bracket. With a
     two-class start table each row starts at its tabulated root, else at
-    g = 0. Runs on any thread: it calls numpy and private helpers only.
+    g = 0. Runs on any thread: it calls numpy and unexported helpers only.
     """
     n = A.shape[0]
     G, res, iters, P, powered = out
@@ -164,9 +164,9 @@ def _solve_rows(
     with np.errstate(over="ignore", invalid="ignore"):
         B = A - m[:, None]
         if t2 < 1.0:
-            # The pass below zeroes off-support entries by multiplying them
-            # by 0, which turns a -inf gap into NaN; the most negative float
-            # is as far off the support.
+            # exp_t_terms zeroes off-support entries by multiplying them by
+            # 0, which turns a -inf gap into NaN; the most negative float is
+            # as far off the support.
             np.maximum(B, -np.finfo(float).max, out=B)
         g = np.zeros(n) if table is None else _binary_start(B, t2, table)
 
@@ -193,21 +193,7 @@ def _solve_rows(
         # While every row is in the pass, p and p/u go straight into P and
         # powered; after that the rows of the pass are scattered there.
         full = sel.size == n
-        # p = exp_t2(Bs - g), evaluated as tempered.exp_t evaluates it
-        kx = np.subtract(Bs, g[:, None], out=P if full else None)
-        kx *= k
-        if k > 0.0:
-            # Off the t2 < 1 support (kx <= -1) p is 0: evaluate those entries
-            # at kx = 0 and zero them after, which keeps the slow special
-            # cases log1p(-1) = -inf and exp(-inf) out of the pass.
-            on = kx > -1.0
-            kx *= on
-        u = kx + 1.0
-        p = np.log1p(kx, out=kx)
-        p /= k
-        np.exp(p, out=p)
-        if k > 0.0:
-            p *= on
+        p, u = exp_t_terms(np.subtract(Bs, g[:, None], out=P if full else None), k)
         pw = np.divide(p, u, out=powered if full else None)
         f = row_sum(p) - 1.0
         if full:
@@ -311,7 +297,7 @@ def _binary_start(B: np.ndarray, t2: float, table: tuple) -> np.ndarray:
         # gives g = exp_t2(-d) + O(g**2) far out in the heavy tail.
         tail = d > edge
         if tail.any():
-            g[tail] = np.power(1.0 + (t2 - 1.0) * d[tail], 1.0 / (1.0 - t2))
+            g[tail] = exp_t_terms(-d[tail], 1.0 - t2)[0]
     return g
 
 

@@ -149,22 +149,45 @@ def log_t(x, t: float):
 def exp_t(x, t: float):
     """Tempered exponential [1 + (1-t)x]_+^(1/(1-t)), the inverse of log_t.
 
-    Total on finite inputs. Evaluated as exp(log1p((1-t)x)/(1-t)) for
-    stability near t = 1, with (1-t)x set to -1 at and past x = -1/(1-t)
-    (compared on x, where the product may round above -1): log1p(-1) = -inf
-    gives exact 0.0 there for t < 1, so exp_t(log_t(0)) = 0, and +inf for t > 1.
+    A view of exp_t_terms, np.exp within T_SWITCH of t = 1. Total: for t < 1
+    exactly 0 at and below x = -1/(1-t), -inf included, so exp_t(log_t(0))
+    = 0; for t > 1 +inf at and past that pole. NaN passes.
     """
     t = validate_temperature(t)
-    x = np.asarray(x, dtype=float)
-    one_minus_t = 1.0 - t
-    if abs(one_minus_t) < T_SWITCH:
+    x = np.array(x, dtype=float)  # a copy: the kernel writes over it
+    k = 1.0 - t
+    if abs(k) < T_SWITCH:
         out = np.exp(x)
+    elif k > 0.0:  # the most negative float is as far off the support as -inf
+        out = exp_t_terms(np.maximum(x, -np.finfo(float).max, out=x), k)[0]
     else:
-        edge = -1.0 / one_minus_t
-        off = x <= edge if one_minus_t > 0.0 else x >= edge
-        with np.errstate(divide="ignore"):
-            out = np.exp(np.log1p(np.where(off, -1.0, one_minus_t * x)) / one_minus_t)
+        pole = x >= -1.0 / k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(pole, np.inf, exp_t_terms(x, k)[0])
     return out if out.ndim else float(out)
+
+
+def exp_t_terms(x: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """(p, u) = (exp_t(x), 1 + kx) at t = 1 - k, |k| >= T_SWITCH; p overwrites the float array x.
+
+    The one tempered exponential, run by exp_t, the normalizer's pass and its
+    two-class tail start: p = exp(log1p(kx)/k), and p^t = p/u on the support.
+    For k > 0, x <= -1/k (compared on x) gives p = 0 and u = 1: evaluated at
+    kx = 0 and zeroed after, which keeps the slow log1p(-1) and exp(-inf) out
+    of the loop (above that edge kx rounds above -1). Callers clamp a -inf
+    x, which the zeroing turns into NaN, and keep x below the k < 0 pole.
+    """
+    if k > 0.0:
+        on = x > -1.0 / k
+        x *= on
+    x *= k
+    u = x + 1.0
+    p = np.log1p(x, out=x)
+    p /= k
+    np.exp(p, out=p)
+    if k > 0.0:
+        p *= on
+    return p, u
 
 
 def check_distribution(p, name: str, least: int = 1) -> np.ndarray:

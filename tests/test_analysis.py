@@ -286,6 +286,16 @@ def test_bayes_multiclass_handles_skewed_posteriors():
             assert chk.argmax_preserved, (temps, p)
 
 
+def test_bayes_multiclass_chart_trials_leak_no_warning():
+    # chart trial steps at this posterior overflow exp; the line search
+    # rejects them without a warning (warnings are errors here)
+    p = [0.755519479222324, 0.00025635412393004025, 0.12472765524783462,
+         4.278002230140545e-05, 0.1194537313836101]
+    chk = bayes_multiclass_check(p, (0.6, 1.6))
+    assert chk.ok
+    assert chk.max_deviation < 1e-10
+
+
 def test_bayes_multiclass_chart_search_stops_at_its_float_floor(monkeypatch):
     # check 2 of the criterion-7 stream: its chart search asks for a
     # gradient of 1e-12 that float64 cannot reach; it stops once its step

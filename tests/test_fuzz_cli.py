@@ -207,6 +207,17 @@ def test_train_then_predict_exit_0_or_2(workdir, content, temps, lam):
         assert code in (0, 2)
 
 
+def test_train_where_the_seeded_start_is_not_finite_exits_0(workdir, capsys):
+    # at seed 1 the seeded weights give activations of about 1e195 and an
+    # infinite t1 = 1 loss; the fit starts from W = 0 instead
+    data, model = workdir / "huge.svm", workdir / "huge_model.json"
+    data.write_text("1 1:1e200\n2 1:-1e200\n")
+    code = main(["train", "--data", str(data), "--t1", "1", "--t2", "1", "--seed", "1",
+                 "--out", str(model)])
+    assert code == 0, capsys.readouterr().err
+    assert main(["predict", "--model", str(model), "--data", str(data)]) == 0
+
+
 @settings(max_examples=150)
 @given(text=MODEL_TEXT)
 def test_predict_on_any_model_text_exits_0_or_2(workdir, text):

@@ -348,6 +348,41 @@ def test_fit_rejects_bad_init(blobs):
             fit(blobs, temps=(1.0, 1.0), lam=1e-3, init=init)
 
 
+def test_fit_from_a_seeded_start_past_the_float_range_starts_at_zero():
+    # the seeded W gives activations of about 1e195, so each true class has
+    # P = 0 and the t1 = 1 loss is +inf; at W = 0 every P is 1/2
+    data = Dataset(np.array([[1e200], [-1e200]]), np.array([1, 2]), 2)
+    model = fit(data, (1.0, 1.0), 1.0, FitConfig(seed=1))
+    assert np.array_equal(model.W, np.zeros((1, 2)))
+    assert model.trace.termination == "line_search_failed"
+    assert model.trace.objective_values == [math.log(2.0)]
+
+
+def test_fit_names_features_whose_gradient_overflows_at_zero():
+    # the seeded start at seed 1 has an infinite loss, and at W = 0 the four
+    # rows of 1e308 in class 1 sum past the float range in the gradient
+    data = Dataset(np.array([[1e308]] * 4 + [[-1e308]]), np.array([1, 1, 1, 1, 2]), 2)
+    message = r"^feature values must keep the gradient at W = 0 finite, got 1e\+308$"
+    with pytest.raises(ValueError, match=message):
+        fit(data, (1.0, 1.0), 1e-4, FitConfig(seed=1))
+
+
+def test_fit_names_an_init_where_the_objective_is_not_finite():
+    data = Dataset(np.array([[1e200], [-1e200]]), np.array([1, 2]), 2)
+    message = r"^objective at init must be finite with a finite gradient, got inf$"
+    with pytest.raises(ValueError, match=message):
+        fit(data, (1.0, 1.0), 1.0, init=np.array([[-1.0, 1.0]]))
+
+
+def test_fit_skips_a_curvature_pair_whose_norms_overflow():
+    # features of 1e300 give gradients whose norms overflow; the pair is
+    # skipped and the fit ends without a warning (warnings are errors here)
+    data = Dataset(np.array([[1e300], [-1e300]]), np.array([1, 2]), 2)
+    model = fit(data, (0.5, 1.9), 1.0, FitConfig(seed=1))
+    assert np.isfinite(model.W).all()
+    assert model.trace.evaluations == 1 + model.trace.iterations + model.trace.backtracks
+
+
 def test_load_rejects_nonfinite_payload(tmp_path, blobs):
     model = fit(blobs, temps=(1.0, 1.0), lam=1e-3)
     path = tmp_path / "model.json"

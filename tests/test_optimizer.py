@@ -133,10 +133,13 @@ def test_ascent_direction_restarts_from_steepest_descent(monkeypatch):
 
 
 def test_rejects_nonfinite_start():
-    with pytest.raises(ValueError):
+    message = "objective at init must be finite with a finite gradient, got "
+    with pytest.raises(ValueError, match=message + "nan"):
         lbfgs_minimize(quadratic, np.array([np.nan, 0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message + "inf"):
         lbfgs_minimize(lambda x: (np.inf, np.zeros_like(x)), np.zeros(2))
+    with pytest.raises(ValueError, match=message + "0.0"):
+        lbfgs_minimize(lambda x: (0.0, np.full_like(x, np.inf)), np.zeros(2))
 
 
 def liar(x):

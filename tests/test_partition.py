@@ -274,6 +274,19 @@ def test_overflowed_gap_is_exactly_off_the_support(t2):
     assert res.powered.tolist() == [[1.0, 0.0]]
 
 
+@pytest.mark.parametrize("t2", [0.05, 0.09, 0.13, 0.21, 0.27])
+def test_pass_and_exp_t_share_the_support_edge(t2):
+    # at these t2 the product (1 - t2) * (-1/(1 - t2)) rounds above -1; the
+    # support rule is taken on the gap itself, so the losing class of the row
+    # has exactly the mass exp_t gives its edge, 0, and no gradient
+    edge = -1.0 / (1.0 - t2)
+    res = log_partition_rows(np.array([[0.0, edge]]), t2)
+    assert res.P[0, 1] == 0.0 == exp_t(edge, t2)
+    assert res.powered[0, 1] == 0.0
+    _, dA = activation_terms(np.array([[0.0, edge], [0.0, edge]]), np.array([1, 2]), (0.5, t2))
+    assert (dA == 0.0).all()
+
+
 @pytest.mark.parametrize("t2", [0.01, 0.1])
 def test_near_tied_rows_stop_at_the_float_floor(t2):
     # at 3000 near-tied classes the t2 < 1 iterates end up alternating between
