@@ -131,53 +131,37 @@ def inflection_residual(a: float, temps) -> float:
     return float(_curvature_balance(_margins(a), as_pair(temps))[1][0])
 
 
-def _bisect(holds, lo: float, hi: float) -> float:
-    """Last point found where `holds` is true, bisecting from lo (true) to hi (false).
-
-    Stops once the bracket is narrower than 1e-13; lo may lie on either side.
-    """
-    for _ in range(200):
-        if abs(hi - lo) < 1e-13:
-            break
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _scan_inflections(temps: TemperaturePair, grid: np.ndarray) -> list:
     """All margins where the second derivative crosses zero on the grid.
 
     A strict +/- sign flip of the balance is bisected to its root. The
     boundary where the loss enters the exactly-zero plateau counts as a
     crossing only when the finite side is strictly positive ("sign change
-    into the plateau"); it is returned on the plateau side.
+    into the plateau"); it is returned on the plateau side. Every bracket is
+    bisected at once, from lo (where its test holds: balance > 0, or p = 0 at
+    a plateau entry) to hi, until it is narrower than 1e-13 or 200 steps
+    have run; its point is the last lo.
     """
     p, balance = _curvature_balance(grid, temps)
-
-    def convex_at(a):
-        return bool(_curvature_balance(a, temps)[1][0] > 0.0)
-
-    def saturated(a):
-        return bool(_curvature_balance(a, temps)[0][0] == 0.0)
-
-    points = []
-    for i in range(len(grid) - 1):
-        a0, a1 = grid[i], grid[i + 1]
-        z0, z1 = p[i] == 0.0, p[i + 1] == 0.0
-        if not z0 and not z1:
-            s0, s1 = balance[i], balance[i + 1]
-            if s0 > 0.0 and s1 < 0.0:
-                points.append(_bisect(convex_at, a0, a1))
-            elif s0 < 0.0 and s1 > 0.0:
-                points.append(_bisect(convex_at, a1, a0))
-        elif z0 != z1:
-            zero_side, live_side = (a0, a1) if z0 else (a1, a0)
-            if balance[i + 1 if z0 else i] > 0.0:
-                points.append(_bisect(saturated, zero_side, live_side))
-    return sorted(points)
+    zero = p == 0.0
+    s0, s1 = balance[:-1], balance[1:]
+    live = ~zero[:-1] & ~zero[1:]
+    down, up = live & (s0 > 0.0) & (s1 < 0.0), live & (s0 < 0.0) & (s1 > 0.0)
+    plateau = (zero[:-1] != zero[1:]) & (np.where(zero[:-1], s1, s0) > 0.0)
+    brackets = down | up | plateau
+    lo_left = (down | (plateau & zero[:-1]))[brackets]  # is lo the bracket's left end?
+    a0, a1 = grid[:-1][brackets], grid[1:][brackets]
+    lo, hi, plateau = np.where(lo_left, a0, a1), np.where(lo_left, a1, a0), plateau[brackets]
+    for _ in range(200):
+        wide = np.abs(hi - lo) >= 1e-13
+        if not wide.any():
+            break
+        mid = 0.5 * (lo[wide] + hi[wide])
+        p, balance = _curvature_balance(mid, temps)
+        holds = np.where(plateau[wide], p == 0.0, balance > 0.0)
+        lo[wide] = np.where(holds, mid, lo[wide])
+        hi[wide] = np.where(holds, hi[wide], mid)
+    return sorted(lo.tolist())
 
 
 def find_inflection(temps, lo: float, hi: float) -> list:
@@ -194,10 +178,9 @@ def find_inflection(temps, lo: float, hi: float) -> list:
             "there is no inflection to find"
         )
     _bounds(lo, hi)
-    grid = np.linspace(lo, hi, 4001)
-    points = [float(a) for a in _scan_inflections(temps, grid)]
-    for a in points:
-        resid = abs(inflection_residual(a, temps))
+    points = _scan_inflections(temps, np.linspace(lo, hi, 4001))
+    residuals = np.abs(_curvature_balance(points, temps)[1]) if points else []
+    for a, resid in zip(points, residuals):
         if resid > INFLECTION_RESIDUAL_TOL:
             raise RuntimeError(
                 f"inflection at {a!r} violates the balance equation "

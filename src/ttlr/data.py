@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .tempered import check, check_labels, is_number, plain_number, validate_count
+from .tempered import check, check_entries, check_labels, is_number, plain_number, validate_count
 
 __all__ = [
     "Dataset",
@@ -41,6 +41,17 @@ class DataFormatError(ValueError):
     """Malformed input text; message carries the 1-based line number or the path."""
 
 
+def check_finite(X, name: str) -> None:
+    """check_entries' "X[3][1] must be finite" over the stored entries of a dense or CSR X."""
+    if not sparse.issparse(X):
+        return check_entries(~np.isfinite(X), name, "be finite", X)
+    bad = ~np.isfinite(X.data)
+    if bad.any():  # stored entry k lies in the row indptr places it in, at column indices[k]
+        k = int(np.argmax(bad))
+        row = int(np.searchsorted(X.indptr, k, side="right")) - 1
+        check(False, f"{name}[{row}][{X.indices[k]}]", "be finite", X.data[k])
+
+
 class _DenseFeatures(np.ndarray):
     """A fully stored feature matrix; as on CSR, nnz counts its stored entries."""
 
@@ -55,7 +66,8 @@ class Dataset:
 
     X is a 2-D float ndarray when every entry is stored (dense input, or CSR
     with nnz == n * dim) and a CSR array otherwise; callers never choose.
-    X.nnz counts the stored entries under both storages.
+    X.nnz counts the stored entries under both storages. Each is finite, or
+    an error names it ("Dataset X[3][1] must be finite, got nan").
     label_table[k-1] is the original label value for class k; when none is
     given (synthetic data) it is the identity table (1.0, 2.0, ...).
     """
@@ -68,8 +80,8 @@ class Dataset:
     def __post_init__(self):
         X = self.X
         X = sparse.csr_array(X) if sparse.issparse(X) else np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"Dataset X must be a 2-D feature matrix, got shape {X.shape}")
+        check(X.ndim == 2, "Dataset X", "have shape (n, dim)", X.shape)
+        check_finite(X, "Dataset X")
         if sparse.issparse(X) and X.nnz == X.shape[0] * X.shape[1]:
             X = X.toarray()
         if not sparse.issparse(X):
@@ -291,12 +303,9 @@ def synth_gaussians(n_per_class: int, means, seed: int = 0) -> Dataset:
     n_per_class = validate_count(n_per_class, "n_per_class", 1)
     seed = validate_count(seed, "seed", 0)
     means = np.asarray(means, dtype=float)
-    if means.ndim != 2 or means.shape[0] < 2:
-        raise ValueError("means must be a (C >= 2) x d array of class centers")
-    bad = np.argwhere(~np.isfinite(means))
-    if bad.size:
-        k, j = bad[0]
-        raise ValueError(f"class mean {k} has the non-finite entry {means[k, j]} at index {j}")
+    shaped = means.ndim == 2 and means.shape[0] >= 2
+    check(shaped, "means", "have shape (C, d) with C >= 2", means.shape)
+    check_finite(means, "means")
     if len(np.unique(means, axis=0)) != means.shape[0]:
         raise ValueError("class means must be distinct")
     c, d = means.shape

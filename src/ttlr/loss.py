@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import log_partition_rows, row_sum
+from .data import check_finite
 from .tempered import check, check_labels, log_t, validate_lambda, validate_temperature
 
 __all__ = [
@@ -106,6 +107,7 @@ def batch_losses(X, y: np.ndarray, W: np.ndarray, temps) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     n, d = X.shape
     check(W.ndim == 2 and W.shape[0] == d, "W", f"have shape ({d}, C)", W.shape)
+    check_finite(W, "W")
     y = check_labels(y, W.shape[1], n, "y")
     return activation_terms(np.asarray(X @ W, dtype=float), y, temps)[0]
 
@@ -118,6 +120,8 @@ def regularized_objective(data, W: np.ndarray, temps, lam: float):
     is exactly 0 adds the cap 1/(1-t1) to the value under t1 < 1 and +inf
     otherwise (only ever on rejected line-search trials), and no gradient.
     W has shape (dim, C) and the labels lie in 1..C, as a Dataset's do.
+    W is not checked finite: an L-BFGS trial W may overflow, and it must
+    reach the line search as a non-finite value, not as an error.
     """
     lam = validate_lambda(lam)
     W = np.asarray(W, dtype=float)

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .data import read_json
+from .data import check_finite, read_json
 from .loss import TemperaturePair, as_pair, regularized_objective
 from .optimizer import OptimizationTrace, OptimizerConfig, lbfgs_minimize
 from .partition import tempered_probs_rows
-from .tempered import check, validate_count, validate_lambda
+from .tempered import check, check_vector, validate_count, validate_lambda
 
 __all__ = [
     "TTLRModel",
@@ -57,7 +57,9 @@ class TTLRModel:
     """Fitted weights W, one column per class: W.shape is (dim, num_classes).
 
     labels[k-1] is the training file's label value for class k, the value
-    predictions stand for outside the package.
+    predictions stand for outside the package: by default (1.0, 2.0, ...), as
+    a Dataset's. W is finite and labels has one finite value per class, or an
+    error names the entry ("TTLRModel W[0][1] must be finite, got nan").
     """
 
     W: np.ndarray
@@ -65,6 +67,16 @@ class TTLRModel:
     lam: float
     trace: OptimizationTrace | None = None
     labels: tuple = ()
+
+    def __post_init__(self):
+        W = np.asarray(self.W, dtype=float)
+        check(W.ndim == 2, "TTLRModel W", "have shape (dim, C)", W.shape)
+        check_finite(W, "TTLRModel W")
+        c = W.shape[1]
+        labels = check_vector(self.labels or range(1, c + 1), "TTLRModel labels", 0)
+        check(labels.size == c, "TTLRModel labels", f"have {c} entries", self.labels)
+        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "labels", tuple(labels.tolist()))
 
     @property
     def dim(self) -> int:
@@ -78,11 +90,12 @@ class TTLRModel:
 def fit(data, temps, lam: float, config: FitConfig | None = None, init=None) -> TTLRModel:
     """Minimize the regularized objective from init, or a seeded near-zero W.
 
-    init is a (dim, num_classes) start W, such as the solution at a nearby
-    lambda; when it is given the seed is not used, and an init where the
-    objective or its gradient is not finite is an error naming it. Where the
-    seeded W gives such an objective, the fit starts from W = 0 instead,
-    where only a gradient past the float range is an error.
+    init is a finite (dim, num_classes) start W, such as the solution at a
+    nearby lambda; when it is given the seed is not used, and an init where
+    the objective or its gradient is not finite is an error naming it. Where
+    the seeded W gives such an objective, the fit starts from W = 0 instead,
+    where only a gradient past the float range is an error. The features are
+    not scanned here: a Dataset checks them finite when it is built.
     Deterministic given (data, temps, lam, seed, init). A dataset whose
     features are identically zero short-circuits to the zero solution, with
     termination "degenerate_data" and that solution as the trace's one point
@@ -102,15 +115,12 @@ def fit(data, temps, lam: float, config: FitConfig | None = None, init=None) -> 
             f"a weight matrix of dim {d} x {c} classes takes {8 * d * c} bytes, "
             f"above the cap of {MAX_WEIGHT_BYTES} bytes"
         )
-    values = _stored_values(data.X)
-    if not np.isfinite(values).all():
-        raise ValueError("feature values must be finite")
     if init is not None:
         init = np.asarray(init, dtype=float)
         check(init.shape == (d, c), "init", f"have shape ({d}, {c})", init.shape)
-        if not np.isfinite(init).all():
-            raise ValueError("init weights must be finite")
+        check_finite(init, "init")
 
+    values = data.X.data if sparse.issparse(data.X) else data.X
     if not values.any():
         W = np.zeros((d, c))
         trace = OptimizationTrace(termination="degenerate_data", evaluations=1)
@@ -140,18 +150,12 @@ def fit(data, temps, lam: float, config: FitConfig | None = None, init=None) -> 
     return TTLRModel(flat.reshape(d, c), temps, lam, trace, data.label_table)
 
 
-def _stored_values(X) -> np.ndarray:
-    """The stored entries of a feature matrix: X.data for CSR, X itself if dense."""
-    return X.data if sparse.issparse(X) else X
-
-
 def _activations(model: TTLRModel, x) -> np.ndarray:
     if not sparse.issparse(x):
         x = np.asarray(x, dtype=float)
     d = model.dim
     check(x.ndim in (1, 2) and x.shape[-1] == d, "input", f"have shape ({d},) or (n, {d})", x.shape)
-    if not np.isfinite(_stored_values(x)).all():
-        raise ValueError("input feature values must be finite")
+    check_finite(x, "input")
     a = np.asarray(x @ model.W, dtype=float)
     return a[None, :] if a.ndim == 1 else a
 
@@ -217,8 +221,7 @@ def load_model(path) -> TTLRModel:
         W = W.reshape(0, num_classes)
     if W.shape != (dim, num_classes) or len(labels) != num_classes:
         raise ValueError(f"{path}: weight or label shape disagrees with the recorded dimensions")
-    if not np.isfinite(W).all():
-        raise ValueError(f"{path}: model weights must be finite")
-    if not np.isfinite(labels).all():
-        raise ValueError(f"{path}: model labels must be finite")
-    return TTLRModel(W, temps, lam, labels=labels)
+    try:
+        return TTLRModel(W, temps, lam, labels=labels)
+    except ValueError as exc:  # a non-finite weight or label, named by index
+        raise ValueError(f"{path}: {exc}") from None

@@ -402,12 +402,12 @@ def escort(p, t2: float) -> np.ndarray:
     Preserves the argmax and equals p at t2 = 1. This is the gradient of
     G_t2 with respect to the activation vector, evaluated at p = probs(a).
     """
-    validate_temperature(t2)
+    t2 = validate_temperature(t2)
     p = check_vector(p, "p", low=0.0)
     with np.errstate(invalid="ignore"):
         q = escort_rows(p[None, :], t2)[0]
     if not np.isfinite(q).all():
-        raise ValueError("escort is undefined: sum_c p_c^t2 is 0 or not finite")
+        check(False, "p", f"give a finite, nonzero sum_c p_c^t2 at t2 = {t2:g}", p.tolist())
     return q
 
 

@@ -43,6 +43,13 @@ def check(ok: bool, name: str, rule: str, value) -> None:
         raise ValueError(f"{name} must {rule}, got {plain_number(value)!r}")
 
 
+def check_entries(bad: np.ndarray, name: str, rule: str, values) -> None:
+    """Unless bad is all False, the check error for values at its first True, as "x[1][0]"."""
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        check(False, name + "".join(f"[{k}]" for k in i), rule, values[i])
+
+
 def validate_temperature(t) -> float:
     """t as a float if it is a real number strictly inside TEMPERATURE_RANGE, else an error.
 
@@ -95,13 +102,8 @@ def check_vector(v, name: str, least: int = 1, low: float = -np.inf) -> np.ndarr
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < least:
         check(False, name, f"have shape (k,) with k >= {least}", v.shape)
-    ok = np.isfinite(v)
-    if low > -np.inf:
-        ok &= v >= low
-    if not ok.all():
-        i = int(np.argmin(ok))
-        rule = "be finite" if low == -np.inf else f"be finite and >= {low:g}"
-        check(False, f"{name}[{i}]", rule, v[i])
+    rule = "be finite" if low == -np.inf else f"be finite and >= {low:g}"
+    check_entries(~(np.isfinite(v) & (v >= low)), name, rule, v)
     return v
 
 
@@ -118,9 +120,7 @@ def check_labels(y, c: int, n: int, name: str) -> np.ndarray:
     ok = (y >= 1) & (y <= c)
     if y.dtype.kind == "f":
         ok &= y == np.trunc(y)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        check(False, f"{name}[{i}]", f"be an integer in [1, {c}]", y[i])
+    check_entries(~ok, name, f"be an integer in [1, {c}]", y)
     return y.astype(np.int64, copy=False)
 
 
@@ -134,10 +134,7 @@ def log_t(x, t: float):
     """
     t = validate_temperature(t)
     x = np.asarray(x, dtype=float)
-    negative = x < 0.0
-    if negative.any():
-        i = np.unravel_index(np.argmax(negative), x.shape)
-        check(False, "x" + "".join(f"[{k}]" for k in i), "be >= 0", x[i])
+    check_entries(x < 0.0, "x", "be >= 0", x)
     one_minus_t = 1.0 - t
     with np.errstate(divide="ignore"):
         out = np.log(x)

@@ -188,10 +188,12 @@ def test_synth_validation():
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             synth_gaussians(5, [(1.0,), (-1.0,)], seed=seed)
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match=f"class mean 1 has the non-finite entry {bad} at index 0"):
+        with pytest.raises(ValueError, match=rf"^means\[1\]\[0\] must be finite, got {bad}$"):
             synth_gaussians(5, [(1.0, 0.0), (bad, 0.0)])
-    with pytest.raises(ValueError):
-        synth_gaussians(5, [(1.0, 0.0)])
+    for means, shape in (([(1.0, 0.0)], (1, 2)), ([1.0, -1.0], (2,))):
+        message = f"means must have shape (C, d) with C >= 2, got {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            synth_gaussians(5, means)
     with pytest.raises(ValueError):
         synth_gaussians(5, [(1.0, 0.0), (1.0, 0.0)])
 

@@ -289,6 +289,14 @@ def test_batch_losses_checks_its_labels(y, message):
         batch_losses(np.ones((2, 2)), y, np.zeros((2, 3)), (1.0, 1.0))
 
 
+def test_batch_losses_names_a_non_finite_weight():
+    # a NaN weight once gave the losses [nan nan]
+    W = np.zeros((2, 3))
+    W[1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^W\[1\]\[0\] must be finite, got nan$"):
+        batch_losses(np.ones((2, 2)), [1, 2], W, (1.0, 1.0))
+
+
 def test_batch_losses_takes_integer_valued_float_labels():
     losses = batch_losses(np.ones((2, 2)), [1.0, 3.0], np.zeros((2, 3)), (1.0, 1.0))
     assert np.allclose(losses, math.log(3.0))

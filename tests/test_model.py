@@ -271,11 +271,11 @@ def test_predict_validates_width(blobs):
     for x in (np.ones(5), np.ones(1), np.ones((4, 3)), sparse.csr_array(np.ones((2, 3)))):
         with pytest.raises(ValueError, match=r"^input must have shape \(2,\) or \(n, 2\), got"):
             predict(model, x)
-    for x in (np.array([np.nan, 1.0]), np.array([[1.0, 0.0], [np.inf, 2.0]])):
-        with pytest.raises(ValueError, match="must be finite"):
-            predict(model, x)
-        with pytest.raises(ValueError, match="must be finite"):
-            predict_proba(model, x)
+    for x, entry in ((np.array([np.nan, 1.0]), r"\[0\]"),
+                     (np.array([[1.0, 0.0], [np.inf, 2.0]]), r"\[1\]\[0\]")):
+        for call in (predict, predict_proba):
+            with pytest.raises(ValueError, match=rf"^input{entry} must be finite, got"):
+                call(model, x)
 
 
 def test_predict_refuses_input_that_is_neither_a_vector_nor_a_matrix():
@@ -287,15 +287,42 @@ def test_predict_refuses_input_that_is_neither_a_vector_nor_a_matrix():
                 call(model, x)
 
 
+def test_a_model_with_non_finite_weights_is_refused_where_it_is_built():
+    # such a model once predicted class 1 for every row, with NaN probabilities
+    with pytest.raises(ValueError, match=r"^TTLRModel W\[0\]\[0\] must be finite, got nan$"):
+        TTLRModel(np.full((2, 3), np.nan), TemperaturePair(1.0, 1.0), 0.1)
+    with pytest.raises(ValueError, match=r"^TTLRModel labels\[1\] must be finite, got inf$"):
+        TTLRModel(np.zeros((2, 2)), TemperaturePair(1.0, 1.0), 0.1, labels=(1.0, np.inf))
+    message = r"^TTLRModel labels must have 3 entries, got \(1.0, 2.0\)$"
+    with pytest.raises(ValueError, match=message):
+        TTLRModel(np.zeros((2, 3)), TemperaturePair(1.0, 1.0), 0.1, labels=(1.0, 2.0))
+
+
+def test_a_model_refuses_weights_that_are_not_a_matrix():
+    # a 1-d W once raised an IndexError from num_classes
+    with pytest.raises(ValueError, match=r"^TTLRModel W must have shape \(dim, C\), got \(3,\)$"):
+        TTLRModel(np.zeros(3), TemperaturePair(1.0, 1.0), 0.1)
+
+
+def test_a_model_built_without_labels_round_trips(tmp_path):
+    # its labels are the identity table; the file once lacked them and failed to load
+    model = TTLRModel(np.eye(2, 3), TemperaturePair(0.6, 1.6), 0.1)
+    assert model.labels == (1.0, 2.0, 3.0)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert back.labels == model.labels and np.array_equal(back.W, model.W)
+
+
 def test_fit_rejects_bad_lambda_and_features(blobs):
     for lam in (float("nan"), float("inf"), -1e-3):
         with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
             fit(blobs, temps=(1.0, 1.0), lam=lam)
+    # non-finite features are refused where the Dataset is built, not by fit
     X = sparse.csr_array(blobs.X).toarray()
     X[3, 1] = np.nan
-    bad = Dataset(sparse.csr_array(X), blobs.y, blobs.num_classes)
-    with pytest.raises(ValueError, match="feature values must be finite"):
-        fit(bad, temps=(1.0, 1.0), lam=1e-3)
+    with pytest.raises(ValueError, match=r"^Dataset X\[3\]\[1\] must be finite, got nan$"):
+        Dataset(sparse.csr_array(X), blobs.y, blobs.num_classes)
 
 
 @pytest.mark.parametrize(
@@ -344,7 +371,7 @@ def test_fit_rejects_bad_init(blobs):
     for bad in (np.nan, np.inf):
         init = np.zeros((2, 2))
         init[1, 0] = bad
-        with pytest.raises(ValueError, match="init weights must be finite"):
+        with pytest.raises(ValueError, match=rf"^init\[1\]\[0\] must be finite, got {bad}$"):
             fit(blobs, temps=(1.0, 1.0), lam=1e-3, init=init)
 
 
@@ -390,7 +417,7 @@ def test_load_rejects_nonfinite_payload(tmp_path, blobs):
     text = path.read_text()
     weight = repr(float(model.W[0, 1]))
     for bad, message in (
-        (text.replace(weight, "NaN", 1), "weights must be finite"),
+        (text.replace(weight, "NaN", 1), r"TTLRModel W\[0\]\[1\] must be finite, got nan"),
         (text.replace('"lambda": 0.001', '"lambda": Infinity'), "lambda must be finite"),
     ):
         path.write_text(bad)
@@ -404,7 +431,8 @@ def test_load_names_the_file_it_cannot_read(tmp_path, blobs):
     save_model(fit(blobs, temps=(1.0, 1.0), lam=1e-3), path)
     payload = json.loads(path.read_text())
     cases = [
-        (json.dumps({**payload, "labels": [float("inf"), 2.0]}), "model labels must be finite"),
+        (json.dumps({**payload, "labels": [float("inf"), 2.0]}),
+         "TTLRModel labels[0] must be finite, got inf"),
         (json.dumps({**payload, "lambda": "0.001"}),
          "malformed model field: lambda must be finite and >= 0, got '0.001'"),
         (b"\xff{}", "'utf-8' codec can't decode"),

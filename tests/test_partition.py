@@ -199,10 +199,11 @@ def test_rejects_bad_inputs():
     for p in (np.array([-0.5, 1.5]), np.array([np.nan, 1.0]), np.array([np.inf, 1.0])):
         with pytest.raises(ValueError, match=r"p\[0\] must be finite and >= 0, got"):
             escort(p, 1.2)
-    with pytest.raises(ValueError):
+    rule = r"^p must give a finite, nonzero sum_c p_c\^t2 at t2 = "
+    with pytest.raises(ValueError, match=rule + r"1.2, got \[0.0, 0.0\]$"):
         escort(np.array([0.0, 0.0]), 1.2)
     # p^t2 underflows to an all-zero vector
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rule + r"1.9, got \[1e-200, 1e-200\]$"):
         escort(np.array([1e-200, 1e-200]), 1.9)
 
 

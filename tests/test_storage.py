@@ -1,5 +1,7 @@
 """Feature storage: dense when every entry is stored, CSR otherwise, same results."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -105,5 +107,6 @@ def test_subset_keeps_the_storage(pair):
 
 def test_dataset_rejects_non_2d_features():
     for X in (np.ones(3), np.ones((3, 1, 1))):
-        with pytest.raises(ValueError, match=r"Dataset X must be a 2-D feature matrix, got shape"):
+        message = f"Dataset X must have shape (n, dim), got {X.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Dataset(X, np.ones(3, dtype=int), 1)
