@@ -304,10 +304,7 @@ def bayes_multiclass_check(p, temps) -> MulticlassBayesCheck:
     v0 = np.log(p)
     v0 = (v0 - v0[-1])[:-1]
     chart_config = OptimizerConfig(grad_tol=1e-12, max_iters=2000)
-    # A trial step far out in the chart overflows exp to inf and inf / inf
-    # to NaN: a non-finite value, which the line search rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_star, _ = lbfgs_minimize(chart_objective, v0, chart_config)
+    v_star, _ = lbfgs_minimize(chart_objective, v0, chart_config)
     ev = np.exp(np.concatenate([v_star, [0.0]]))
     probs_chart = ev / ev.sum()
     a_chart = log_t(probs_chart, temps.t2)
@@ -319,8 +316,7 @@ def bayes_multiclass_check(p, temps) -> MulticlassBayesCheck:
     labels = np.arange(1, c + 1)
 
     def objective(z):
-        # one activation row per class; the kernel's +inf loss at a zero
-        # probability under t1 >= 1 makes the line search reject the trial
+        # one activation row per class
         losses, dA = activation_terms(np.tile(embed(z), (c, 1)), labels, temps)
         grad_a = p @ dA
         return float(p @ losses), grad_a[:-1] - grad_a[-1]

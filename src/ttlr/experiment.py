@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, NoiseSpec, read_libsvm, synth_gaussians
-from .loss import TemperaturePair
+from .loss import TemperaturePair, as_pair
 from .model import FitConfig, TTLRModel, fit, predict
 from .tempered import check, is_number, plain_number, validate_count
 
@@ -69,6 +69,10 @@ class MethodSpec:
 
     name: str
     temps: TemperaturePair
+
+    def __post_init__(self):
+        check(isinstance(self.name, str), "MethodSpec name", "be a string", self.name)
+        object.__setattr__(self, "temps", as_pair(self.temps))
 
 
 _METHOD_GRAMMAR = (

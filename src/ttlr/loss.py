@@ -52,15 +52,19 @@ class TemperaturePair:
 
 
 def as_pair(temps) -> TemperaturePair:
-    """Accept a TemperaturePair or a plain (t1, t2) tuple."""
+    """temps if it is a TemperaturePair, else the pair its two values make."""
     if isinstance(temps, TemperaturePair):
         return temps
-    return TemperaturePair(*temps)
+    try:
+        t1, t2 = temps
+    except (TypeError, ValueError):
+        check(False, "temps", "be a (t1, t2) pair", temps)
+    return TemperaturePair(t1, t2)
 
 
 def _losses_from_probs(pn: np.ndarray, t1: float) -> np.ndarray:
-    """-log_t1(p): at p = 0 the cap 1/(1-t1) for t1 < 1, else +inf, as on
-    overflow (never accepted under L2); NaN for the NaN p of a rejected trial.
+    """-log_t1(p): at p = 0 the cap 1/(1-t1) for t1 < 1, else +inf, as where a
+    tiny finite p overflows p^(1-t1) at t1 > 1; a NaN p gives NaN.
     """
     with np.errstate(over="ignore"):
         return -log_t(pn, t1)
@@ -120,8 +124,8 @@ def regularized_objective(data, W: np.ndarray, temps, lam: float):
     is exactly 0 adds the cap 1/(1-t1) to the value under t1 < 1 and +inf
     otherwise (only ever on rejected line-search trials), and no gradient.
     W has shape (dim, C) and the labels lie in 1..C, as a Dataset's do.
-    W is not checked finite: an L-BFGS trial W may overflow, and it must
-    reach the line search as a non-finite value, not as an error.
+    W is left unchecked: a W that overflows gives an inf or NaN value, which
+    lbfgs_minimize rejects as a trial under its own errstate.
     """
     lam = validate_lambda(lam)
     W = np.asarray(W, dtype=float)
@@ -130,12 +134,6 @@ def regularized_objective(data, W: np.ndarray, temps, lam: float):
     if n == 0:
         raise ValueError("dataset is empty")
     check(W.ndim == 2 and W.shape[0] == d, "W", f"have shape ({d}, C)", W.shape)
-    # A rejected line-search trial may overflow the activations or the ridge
-    # term; its value is then inf or NaN, and the search backs off.
-    with np.errstate(over="ignore", invalid="ignore"):
-        A = np.asarray(X @ W, dtype=float)
-    losses, dA = activation_terms(A, y, temps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.mean(losses)) + 0.5 * lam * float(np.sum(W * W))
-        grad = np.asarray(X.T @ dA, dtype=float) / n + lam * W
-    return value, grad
+    losses, dA = activation_terms(np.asarray(X @ W, dtype=float), y, temps)
+    value = float(np.mean(losses)) + 0.5 * lam * float(np.sum(W * W))
+    return value, np.asarray(X.T @ dA, dtype=float) / n + lam * W

@@ -59,7 +59,8 @@ class TTLRModel:
     labels[k-1] is the training file's label value for class k, the value
     predictions stand for outside the package: by default (1.0, 2.0, ...), as
     a Dataset's. W is finite and labels has one finite value per class, or an
-    error names the entry ("TTLRModel W[0][1] must be finite, got nan").
+    error names the entry ("TTLRModel W[0][1] must be finite, got nan"); temps
+    and lam follow the rules of fit, and a (t1, t2) tuple becomes a pair.
     """
 
     W: np.ndarray
@@ -76,6 +77,8 @@ class TTLRModel:
         labels = check_vector(self.labels or range(1, c + 1), "TTLRModel labels", 0)
         check(labels.size == c, "TTLRModel labels", f"have {c} entries", self.labels)
         object.__setattr__(self, "W", W)
+        object.__setattr__(self, "temps", as_pair(self.temps))
+        object.__setattr__(self, "lam", validate_lambda(self.lam))
         object.__setattr__(self, "labels", tuple(labels.tolist()))
 
     @property
@@ -156,14 +159,17 @@ def _activations(model: TTLRModel, x) -> np.ndarray:
     d = model.dim
     check(x.ndim in (1, 2) and x.shape[-1] == d, "input", f"have shape ({d},) or (n, {d})", x.shape)
     check_finite(x, "input")
-    a = np.asarray(x @ model.W, dtype=float)
-    return a[None, :] if a.ndim == 1 else a
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        a = np.atleast_2d(np.asarray(x @ model.W, dtype=float))
+    check_finite(a, "input activations")
+    return a
 
 
 def predict(model: TTLRModel, x):
     """argmax_c <x, w_c> as a 1-based label; lowest index wins ties.
 
-    Accepts a single vector or a feature matrix (returns an array then).
+    Accepts a single vector or a feature matrix (returns an array then). An
+    activation past the float range is refused by its index, as is the input.
     """
     a = _activations(model, x)
     labels = np.argmax(a, axis=1) + 1
@@ -190,8 +196,8 @@ def save_model(model: TTLRModel, path) -> None:
         "t1": model.temps.t1,
         "t2": model.temps.t2,
         "lambda": model.lam,
-        "labels": [float(v) for v in model.labels],
-        "weights": np.asarray(model.W, dtype=float).tolist(),
+        "labels": list(model.labels),
+        "weights": model.W.tolist(),
     }
     # json.dumps takes the C encoder; json.dump streams through the Python one.
     text = json.dumps(payload) + "\n"

@@ -6,10 +6,11 @@ Hessian approximation positive definite. Each line search tries step 1 first.
 After a rejected trial with a finite value it moves to the minimizer of the
 quadratic through f, the slope and the trial value, clamped to
 [BACKTRACK_MIN, BACKTRACK_MAX] x step (Nocedal and Wright, Numerical
-Optimization, section 3.5). A non-finite trial halves the step. The search
-gives up when a step no longer moves x in floating point, without calling
-the objective there. Everything is single threaded and free of randomness,
-so identical inputs give bit-identical traces.
+Optimization, section 3.5). A non-finite trial halves the step, whatever the
+caller's numpy error settings: the search runs whole under one
+np.errstate(all="ignore"). It gives up when a step no longer moves x in
+floating point, without calling the objective there. Everything is single
+threaded and free of randomness, so identical inputs give bit-identical traces.
 """
 
 from __future__ import annotations
@@ -113,29 +114,29 @@ def lbfgs_minimize(objective, init, config: OptimizerConfig | None = None):
     when the line search cannot make progress ("line_search_failed"). Every
     stop returns the best point so far, recorded in the trace, not raised.
     The objective and its gradient must be finite at init, else a ValueError
-    names it.
+    names it; any other inf or NaN value is a rejected trial, never an error.
     """
     config = config or OptimizerConfig()
-    x = np.array(init, dtype=float).ravel()
-    f, g = objective(x)
-    g = np.asarray(g, dtype=float).ravel()
-    check(np.isfinite(f) and np.isfinite(g).all(), "objective at init",
-          "be finite with a finite gradient", f)
+    with np.errstate(all="ignore"):
+        x = np.array(init, dtype=float).ravel()
+        f, g = objective(x)
+        g = np.asarray(g, dtype=float).ravel()
+        check(np.isfinite(f) and np.isfinite(g).all(), "objective at init",
+              "be finite with a finite gradient", f)
 
-    trace = OptimizationTrace(evaluations=1)
-    gnorm = float(np.abs(g).max())
-    trace.record(f, gnorm, 0.0)
-    if gnorm <= config.grad_tol:
-        trace.termination = "converged"
-        return x, trace
+        trace = OptimizationTrace(evaluations=1)
+        gnorm = float(np.abs(g).max())
+        trace.record(f, gnorm, 0.0)
+        if gnorm <= config.grad_tol:
+            trace.termination = "converged"
+            return x, trace
 
-    memory = deque(maxlen=MEMORY)
-    best_gnorm, stalled = gnorm, 0
-    for _ in range(config.max_iters):
-        d = _two_loop_direction(g, memory)
-        # A gradient near the float limit overflows the slope to -inf or NaN;
-        # no trial then passes Armijo, and the search fails as it should.
-        with np.errstate(over="ignore", invalid="ignore"):
+        memory = deque(maxlen=MEMORY)
+        best_gnorm, stalled = gnorm, 0
+        for _ in range(config.max_iters):
+            d = _two_loop_direction(g, memory)
+            # A gradient near the float limit overflows the slope to -inf or
+            # NaN; no trial then passes Armijo, and the search fails as it should.
             slope = float(d @ g)
             if slope >= 0.0:
                 # Stale curvature made the direction non-descent; restart
@@ -144,48 +145,47 @@ def lbfgs_minimize(objective, init, config: OptimizerConfig | None = None):
                 d = -g
                 slope = float(d @ g)
 
-        step = 1.0
-        accepted = False
-        for _ in range(MAX_BACKTRACKS + 1):
-            x_new = x + step * d
-            if np.array_equal(x_new, x):
-                break  # a null step: Armijo would accept it, and it moves nothing
-            f_new, g_new = objective(x_new)
-            trace.evaluations += 1
-            if np.isfinite(f_new) and f_new <= f + ARMIJO_C1 * step * slope:
-                accepted = True
-                break
-            trace.backtracks += 1
-            step = _backtrack(step, f, slope, f_new)
-        if not accepted:
-            trace.termination = "line_search_failed"
-            return x, trace
+            step = 1.0
+            accepted = False
+            for _ in range(MAX_BACKTRACKS + 1):
+                x_new = x + step * d
+                if np.array_equal(x_new, x):
+                    break  # a null step: Armijo would accept it, and it moves nothing
+                f_new, g_new = objective(x_new)
+                trace.evaluations += 1
+                if np.isfinite(f_new) and f_new <= f + ARMIJO_C1 * step * slope:
+                    accepted = True
+                    break
+                trace.backtracks += 1
+                step = _backtrack(step, f, slope, f_new)
+            if not accepted:
+                trace.termination = "line_search_failed"
+                return x, trace
 
-        g_new = np.asarray(g_new, dtype=float).ravel()
-        s = x_new - x
-        # Near the float limit ygap or a norm overflows to inf; the guard
-        # then fails and the pair, which cannot be trusted, is skipped.
-        with np.errstate(over="ignore", invalid="ignore"):
+            g_new = np.asarray(g_new, dtype=float).ravel()
+            s = x_new - x
+            # Near the float limit ygap or a norm overflows to inf; the guard
+            # then fails and the pair, which cannot be trusted, is skipped.
             ygap = g_new - g
             sty = float(s @ ygap)
             if sty > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(ygap)):
                 memory.append((s, ygap, 1.0 / sty))
 
-        # Accepted values never rise, so f is the best value seen so far.
-        value_improved = f - f_new > _EPS * abs(f)
-        x, f, g = x_new, f_new, g_new
-        gnorm = float(np.abs(g).max())
-        trace.record(f, gnorm, step)
-        if gnorm <= config.grad_tol:
-            trace.termination = "converged"
-            return x, trace
-        if value_improved or gnorm < best_gnorm:
-            best_gnorm, stalled = min(best_gnorm, gnorm), 0
-        else:
-            stalled += 1
-            if stalled >= STALL_STEPS:
-                trace.termination = "no_progress"
+            # Accepted values never rise, so f is the best value seen so far.
+            value_improved = f - f_new > _EPS * abs(f)
+            x, f, g = x_new, f_new, g_new
+            gnorm = float(np.abs(g).max())
+            trace.record(f, gnorm, step)
+            if gnorm <= config.grad_tol:
+                trace.termination = "converged"
                 return x, trace
+            if value_improved or gnorm < best_gnorm:
+                best_gnorm, stalled = min(best_gnorm, gnorm), 0
+            else:
+                stalled += 1
+                if stalled >= STALL_STEPS:
+                    trace.termination = "no_progress"
+                    return x, trace
 
-    trace.termination = "max_iterations"
-    return x, trace
+        trace.termination = "max_iterations"
+        return x, trace

@@ -159,8 +159,8 @@ def _solve_rows(
     n = A.shape[0]
     G, res, iters, P, powered = out
     m = _row_max(A)
-    # A trial step's activations may reach +/-inf: inf - inf is NaN and a
-    # huge gap overflows to -inf, values the rejected trial already handles.
+    # Extreme finite activations, such as +/-1e308 in one row, overflow a
+    # gap to -inf, and the two-class start then takes inf / inf.
     with np.errstate(over="ignore", invalid="ignore"):
         B = A - m[:, None]
         if t2 < 1.0:
@@ -278,8 +278,8 @@ def _binary_start(B: np.ndarray, t2: float, table: tuple) -> np.ndarray:
     """Tabulated start g for shifted two-class rows B (see _binary_table).
 
     Index arithmetic on the uniform grid: np.interp costs about 15x more on
-    unsorted gaps. Total: a NaN or infinite gap, which a rejected trial step
-    can give, reads past the end of the grid and starts at 0, inside the
+    unsorted gaps. Total: a NaN gap, or the infinite one of extreme finite
+    activations, reads past the end of the grid and starts at 0, inside the
     bracket; the caller holds errstate for inf / inf.
     """
     scale, base, slope, edge = table

@@ -1,11 +1,12 @@
 """Every public setting and array is checked where it enters, in one message form.
 
 A string, None, a bool or NaN given for a temperature (of a pair or of a
-public kernel), a tolerance, a ridge weight, a posterior, a scan bound or a
-noise setting is refused with a ValueError "{name} must {rule}, got
-{value!r}", never coerced and never left to fail later as a TypeError. A
-non-finite entry of a feature, weight or label array is refused in the same
-form, named by its index: "Dataset X[3][1] must be finite, got nan".
+public kernel), a temperature pair, a tolerance, a ridge weight, a
+posterior, a scan bound or a noise setting is refused with a ValueError
+"{name} must {rule}, got {value!r}", never coerced and never left to fail
+later as a TypeError. A non-finite entry of a feature, weight or label array
+is refused in the same form, named by its index: "Dataset X[3][1] must be
+finite, got nan".
 """
 
 import math
@@ -25,6 +26,7 @@ from ttlr.data import (
     inject_random_flip,
     synth_gaussians,
 )
+from ttlr.experiment import MethodSpec
 from ttlr.loss import TemperaturePair, batch_losses
 from ttlr.model import FitConfig, TTLRModel, fit, predict
 from ttlr.optimizer import OptimizerConfig
@@ -40,6 +42,11 @@ SETTINGS = [
     ("OptimizerConfig grad_tol", lambda v: OptimizerConfig(grad_tol=v)),
     ("OptimizerConfig max_iters", lambda v: OptimizerConfig(max_iters=v)),
     ("lambda", validate_lambda),
+    # a model with lambda NaN was once saved to a file load_model refused
+    ("lambda", lambda v: TTLRModel(np.zeros((2, 2)), (1.0, 1.0), v)),
+    ("temps", lambda v: fit(DATA, v, 0.1)),
+    ("temps", lambda v: TTLRModel(np.zeros((2, 2)), v, 0.1)),
+    ("temps", lambda v: MethodSpec("m", v)),
     ("eta", lambda v: bayes_binary_check(v, QUASI_CONVEX)),
     ("lo", lambda v: find_inflection(QUASI_CONVEX, v, 5.0)),
     ("hi", lambda v: find_inflection(QUASI_CONVEX, -5.0, v)),
@@ -80,6 +87,24 @@ def test_a_kernel_refuses_a_bad_temperature(enter, t):
     with pytest.raises(ValueError) as err:
         enter(t)
     assert str(err.value) == f"temperature must lie strictly in (0, 2), got {t!r}"
+
+
+@pytest.mark.parametrize("temps", [5, (1.0,), (1.0, 1.0, 1.0)])
+def test_temps_that_are_not_a_pair_are_refused(temps):
+    # each once raised a bare TypeError from unpacking
+    with pytest.raises(ValueError) as err:
+        fit(DATA, temps, 0.1)
+    assert str(err.value) == f"temps must be a (t1, t2) pair, got {temps!r}"
+
+
+def test_a_method_is_checked_where_it_is_built():
+    # a bad pair once failed only inside run_experiment, after the data were
+    # drawn, and a number name was written into the CSV's method column
+    with pytest.raises(ValueError, match=r"^temperature must lie strictly in \(0, 2\), got 5.0$"):
+        MethodSpec("m", (0.5, 5.0))
+    with pytest.raises(ValueError, match=r"^MethodSpec name must be a string, got 5$"):
+        MethodSpec(5, TemperaturePair(1.0, 1.0))
+    assert MethodSpec("m", (0.6, 1.6)).temps == TemperaturePair(0.6, 1.6)
 
 
 def test_fit_refuses_an_infinite_gradient_tolerance():

@@ -314,6 +314,32 @@ def test_a_model_built_without_labels_round_trips(tmp_path):
     assert back.labels == model.labels and np.array_equal(back.W, model.W)
 
 
+def test_a_model_built_with_a_tuple_predicts_and_round_trips(tmp_path):
+    # the tuple was once kept as given: predict_proba failed on its t2 and
+    # save_model on its t1, each with an AttributeError
+    model = TTLRModel(np.zeros((2, 2)), (1.0, 1.0), 0.1)
+    assert model.temps == TemperaturePair(1.0, 1.0)
+    assert np.array_equal(predict_proba(model, np.ones(2)), [0.5, 0.5])
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert (back.temps, back.lam, back.labels) == (model.temps, model.lam, model.labels)
+    assert np.array_equal(back.W, model.W)
+
+
+@pytest.mark.parametrize("weights", [[[1e200, -1e200]], [[1e200, 2e200]]])
+@pytest.mark.parametrize("t2", [1.0, 1.6])
+def test_predict_refuses_activations_past_the_float_range(weights, t2):
+    # these once leaked a matmul overflow: predict_proba gave NaN
+    # probabilities, and predict class 1 for the tie [inf, inf] of the second
+    model = TTLRModel(np.array(weights), (1.0, t2), 0.1)
+    message = r"^input activations\[0\]\[0\] must be finite, got inf$"
+    for x in (np.array([[1e200]]), np.array([1e200])):
+        for call in (predict, predict_proba):
+            with pytest.raises(ValueError, match=message):
+                call(model, x)
+
+
 def test_fit_rejects_bad_lambda_and_features(blobs):
     for lam in (float("nan"), float("inf"), -1e-3):
         with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
@@ -383,6 +409,18 @@ def test_fit_from_a_seeded_start_past_the_float_range_starts_at_zero():
     assert np.array_equal(model.W, np.zeros((1, 2)))
     assert model.trace.termination == "line_search_failed"
     assert model.trace.objective_values == [math.log(2.0)]
+
+
+@pytest.mark.parametrize("temps", [(1.0, 1.0), (0.6, 1.6)])
+def test_a_fit_on_huge_features_is_the_same_under_any_error_settings(temps):
+    # under all="raise" an underflow in exp once ended this fit with a
+    # FloatingPointError
+    data = Dataset(np.array([[1e200], [-1e200]]), np.array([1, 2]), 2)
+    model = fit(data, temps, 1.0)
+    with np.errstate(all="raise"):
+        strict = fit(data, temps, 1.0)
+    assert model.trace.termination == strict.trace.termination == "converged"
+    assert strict.W.tobytes() == model.W.tobytes()
 
 
 def test_fit_names_features_whose_gradient_overflows_at_zero():

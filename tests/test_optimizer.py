@@ -1,5 +1,7 @@
 """L-BFGS with interpolating Armijo backtracking: convergence, traces, failure modes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -140,6 +142,26 @@ def test_rejects_nonfinite_start():
         lbfgs_minimize(lambda x: (np.inf, np.zeros_like(x)), np.zeros(2))
     with pytest.raises(ValueError, match=message + "0.0"):
         lbfgs_minimize(lambda x: (0.0, np.full_like(x, np.inf)), np.zeros(2))
+
+
+def steep_exp(x):
+    # exp(50 x) - 50 x, least at x = 0: the first step from -0.1 lands near
+    # x = 50, where exp(50 x) overflows to inf
+    e = np.exp(50.0 * x)
+    return float(np.sum(e - 50.0 * x)), 50.0 * e - 50.0
+
+
+@pytest.mark.parametrize("errors", [{}, {"all": "raise"}], ids=["default", "raise"])
+def test_an_overflowing_trial_is_rejected_whatever_the_error_settings(errors):
+    # such a trial once leaked "overflow encountered in exp", and under
+    # all="raise" ended the search with a FloatingPointError
+    with warnings.catch_warnings(), np.errstate(**errors):
+        warnings.simplefilter("error")
+        x, trace = lbfgs_minimize(steep_exp, np.array([-0.1]))
+        with pytest.raises(ValueError, match="^objective at init must be finite"):
+            lbfgs_minimize(steep_exp, np.array([20.0]))
+    assert trace.termination == "converged" and trace.backtracks > 0
+    assert abs(x[0]) < 1e-6
 
 
 def liar(x):
